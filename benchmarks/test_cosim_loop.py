@@ -11,12 +11,12 @@ import pytest
 
 from repro.core.strategies import Scheme
 from repro.cosim import (
-    CosimConfig,
     ExpertReplayPlanner,
     format_sweep,
     run_load_sweep,
     small_cosim_dram,
 )
+from repro.experiments import LoopConfig, ServingConfig
 from repro.serving.simulator import CostModel
 
 RATES = [2e4, 2e5, 1e6, 4e6]
@@ -32,9 +32,12 @@ def build_sweep(engine="fifo", mean_prompt_tokens=20, mean_decode_tokens=5):
     return run_load_sweep(
         cost, Scheme.MD_LB, planner, RATES,
         n_requests=60, seed=1,
-        mean_prompt_tokens=mean_prompt_tokens,
-        mean_decode_tokens=mean_decode_tokens,
-        cosim_config=CosimConfig(max_iterations=16, engine=engine),
+        serving=ServingConfig(
+            engine=engine,
+            mean_prompt_tokens=mean_prompt_tokens,
+            mean_decode_tokens=mean_decode_tokens,
+        ),
+        loop=LoopConfig(max_iterations=16),
     )
 
 

@@ -9,7 +9,8 @@ import pytest
 
 from repro.analysis.report import format_table
 from repro.core.strategies import Scheme
-from repro.cosim import CosimConfig, run_load_sweep
+from repro.cosim import run_load_sweep
+from repro.experiments import ServingConfig
 from repro.serving.simulator import CostModel
 from repro.workloads import flores_like
 
@@ -30,8 +31,9 @@ def build_rows():
         # repro.serving.load_sweep adapter preserved.
         _, runs = run_load_sweep(
             cost, scheme, None, list(RATES), n_requests=N_REQUESTS,
-            mean_prompt_tokens=512, mean_decode_tokens=16,
-            cosim_config=CosimConfig(queue_limit=512),
+            serving=ServingConfig(
+                mean_prompt_tokens=512, mean_decode_tokens=16, queue_limit=512
+            ),
         )
         sweep = list(zip(RATES, (r.closed_loop for r in runs)))
         for rate, result in sweep:

@@ -18,12 +18,12 @@ Run:  python examples/closed_loop_cosim.py
 
 from repro.core.strategies import Scheme
 from repro.cosim import (
-    CosimConfig,
     ExpertReplayPlanner,
     format_sweep,
     run_load_sweep,
     small_cosim_dram,
 )
+from repro.experiments import LoopConfig, ServingConfig
 from repro.serving.simulator import CostModel
 
 
@@ -50,9 +50,8 @@ def main() -> None:
         rates,
         n_requests=40,
         seed=1,
-        mean_prompt_tokens=20,
-        mean_decode_tokens=5,
-        cosim_config=CosimConfig(max_iterations=16),
+        serving=ServingConfig(mean_prompt_tokens=20, mean_decode_tokens=5),
+        loop=LoopConfig(max_iterations=16),
     )
     print(format_sweep(sweep))
 

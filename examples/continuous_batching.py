@@ -25,11 +25,11 @@ Run:  python examples/continuous_batching.py
 
 from repro.core.strategies import Scheme
 from repro.cosim import (
-    CosimConfig,
     ExpertReplayPlanner,
     run_load_sweep,
     small_cosim_dram,
 )
+from repro.experiments import LoopConfig, ServingConfig
 from repro.serving.simulator import CostModel
 
 RATES = [1e5, 5e5, 1e6, 2e6, 4e6]
@@ -58,9 +58,10 @@ def sweep_engine(cost: CostModel, engine: str):
         seed=1,
         # Decode-heavy mix: most tokens are bandwidth-bound decode
         # steps, the traffic continuous batching amortizes.
-        mean_prompt_tokens=8,
-        mean_decode_tokens=24,
-        cosim_config=CosimConfig(max_iterations=16, engine=engine),
+        serving=ServingConfig(
+            engine=engine, mean_prompt_tokens=8, mean_decode_tokens=24
+        ),
+        loop=LoopConfig(max_iterations=16),
     )
     return sweep
 

@@ -11,7 +11,7 @@ verifies the results match, and prints the wall-clock speedup.
 On a single-core container the "speedup" is below 1.0 (pool startup
 plus pickling with nothing to overlap); on an N-core box it
 approaches min(N, grid points).  A second lever, DRAM-level
-parallelism (`CosimConfig(dram_workers=N)` /
+parallelism (`LoopConfig(dram_workers=N)` /
 `repro cosim --dram-workers N`), fans each replay's per-channel
 drains out instead -- useful when the grid is short but the DRAM
 config is wide.  The two compose only one at a time (pool workers
@@ -26,12 +26,12 @@ import time
 
 from repro.core.strategies import Scheme
 from repro.cosim import (
-    CosimConfig,
     ExpertReplayPlanner,
     format_sweep,
     run_load_sweep,
     small_cosim_dram,
 )
+from repro.experiments import LoopConfig, ServingConfig
 from repro.serving.simulator import CostModel
 
 
@@ -61,9 +61,8 @@ def run_grid(workers: int):
         rates,
         n_requests=60,
         seed=1,
-        mean_prompt_tokens=20,
-        mean_decode_tokens=5,
-        cosim_config=CosimConfig(max_iterations=16),
+        serving=ServingConfig(mean_prompt_tokens=20, mean_decode_tokens=5),
+        loop=LoopConfig(max_iterations=16),
         workers=workers,
     )
     return sweep, time.perf_counter() - start

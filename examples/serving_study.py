@@ -9,6 +9,7 @@ Run:  python examples/serving_study.py
 
 from repro.core.strategies import Scheme
 from repro.cosim import run_load_sweep
+from repro.experiments import ServingConfig
 from repro.serving.simulator import CostModel
 from repro.workloads import flores_like
 
@@ -37,8 +38,10 @@ def main() -> None:
             # planner=None runs the engine-aware sweep serving-only
             # (open loop, no DRAM feedback) -- the successor of the
             # old standalone serving load_sweep.
-            _, runs = run_load_sweep(cost, scheme, None, [rate],
-                                     n_requests=100, mean_decode_tokens=16)
+            _, runs = run_load_sweep(
+                cost, scheme, None, [rate], n_requests=100,
+                serving=ServingConfig(mean_decode_tokens=16),
+            )
             result = runs[0].closed_loop
             cells.append(
                 f"{result.latency_percentile(50):10.2f}/"

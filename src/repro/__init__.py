@@ -44,14 +44,15 @@ __version__ = "1.0.0"
 __all__ = [
     "BatchingEngine",
     "ClusterConfig",
-    "CosimConfig",
     "CosimDriver",
     "ExperimentConfig",
     "InferenceConfig",
+    "LoopConfig",
     "MoNDERuntime",
     "SCENARIOS",
     "Scheme",
     "SchemeResult",
+    "ServingConfig",
     "ServingSimulator",
     "TrafficConfig",
     "__version__",
@@ -65,14 +66,15 @@ __all__ = [
 _LAZY = {
     "BatchingEngine": ("repro.serving.engine", "BatchingEngine"),
     "ClusterConfig": ("repro.cluster.config", "ClusterConfig"),
-    "CosimConfig": ("repro.cosim.driver", "CosimConfig"),
     "CosimDriver": ("repro.cosim.driver", "CosimDriver"),
     "ExperimentConfig": ("repro.experiments.config", "ExperimentConfig"),
     "InferenceConfig": ("repro.core.runtime", "InferenceConfig"),
+    "LoopConfig": ("repro.experiments.config", "LoopConfig"),
     "MoNDERuntime": ("repro.core.runtime", "MoNDERuntime"),
     "SCENARIOS": ("repro.traffic.scenarios", "SCENARIOS"),
     "SchemeResult": ("repro.core.runtime", "SchemeResult"),
     "Scheme": ("repro.core.strategies", "Scheme"),
+    "ServingConfig": ("repro.experiments.config", "ServingConfig"),
     "ServingSimulator": ("repro.serving.simulator", "ServingSimulator"),
     "TrafficConfig": ("repro.experiments.config", "TrafficConfig"),
     "get_preset": ("repro.experiments.presets", "get_preset"),

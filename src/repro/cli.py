@@ -336,184 +336,89 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled traffic subcommand {args.traffic_command!r}")
 
 
-#: Defaults for the SUPPRESS-defaulted shared cosim options (see
-#: build_parser: a real argparse default would let the `sweep`
-#: subparser silently overwrite values parsed by its parent).
-_COSIM_DEFAULTS = {
-    "scheme": "md+lb",
-    "workload": "flores",
-    "arrival": "poisson",
-    "requests": 100,
-    "seed": 1,
-    "mean_prompt_tokens": 512,
-    "mean_decode_tokens": 32,
-    "encode_us": None,
-    "decode_us": None,
-    "bytes_per_token": 2048,
-    "max_blocks": 4096,
-    "damping": 0.6,
-    "max_iters": 8,
-    "tol": 0.02,
-    "small_dram": False,
-    "synthetic_regions": False,
-    "export_trace": None,
-    "dram_workers": 0,
-    "workers": 0,
-    "engine": "fifo",
-    "max_batch": 8,
-    "prefill_budget": 4096,
-    "priority": "prefill",
-    "decode_marginal": 0.5,
-    "slo_p99_ms": None,
-}
-
-
 def _parse_rates(spec: Optional[str]) -> Optional[tuple[float, ...]]:
     if spec is None:
         return None
     return tuple(sorted(float(r) for r in spec.split(",") if r.strip()))
 
 
-def _experiment_config(args: argparse.Namespace, provided: set[str]):
+def _experiment_config(args: argparse.Namespace):
     """Resolve flags into one :class:`repro.experiments.ExperimentConfig`.
 
-    Three sources, in precedence order: a ``--config`` JSON file or
-    ``--preset`` name as the base, then any flag the user actually
-    typed (``provided`` -- captured before default-fill) layered on
-    top; with neither, the config is built from flags alone, honoring
-    the legacy ``--smoke`` mutations exactly.
+    The base is a ``--config`` JSON file, a ``--preset`` name
+    (``--smoke`` is ``--preset smoke``), or the default config; any
+    flag the user actually typed then overrides its field (the shared
+    cosim options default to SUPPRESS, so only typed flags are set).
     """
     from dataclasses import replace
 
-    from repro.experiments import (
-        CostConfig,
-        ExperimentConfig,
-        LoopConfig,
-        ReplayConfig,
-        ServingConfig,
-        get_preset,
-    )
+    from repro.experiments import ExperimentConfig, get_preset
 
+    provided = vars(args)
     preset = getattr(args, "preset", None)
     config_path = getattr(args, "config", None)
+    if getattr(args, "smoke", False):
+        if preset or config_path:
+            raise ValueError("--smoke is --preset smoke; give only one base config")
+        preset = "smoke"
     if preset and config_path:
         raise ValueError("--preset and --config are mutually exclusive")
-    rates = _parse_rates(getattr(args, "rates", None))
-
-    if preset or config_path:
-        base = ExperimentConfig.load(config_path) if config_path else get_preset(preset)
-        cost, replay = base.cost, base.replay
-        serving, loop = base.serving, base.loop
-        if "workload" in provided:
-            cost = replace(cost, workload=args.workload)
-        if "encode_us" in provided or "decode_us" in provided:
-            cost = replace(cost, encode_us=args.encode_us, decode_us=args.decode_us)
-        if "small_dram" in provided:
-            replay = replace(replay, dram="small")
-        if "synthetic_regions" in provided:
-            replay = replace(replay, synthetic=True)
-        if "bytes_per_token" in provided:
-            replay = replace(replay, bytes_per_token=args.bytes_per_token)
-        if "max_blocks" in provided:
-            replay = replace(replay, max_blocks_per_request=args.max_blocks)
-        for flag, fname in (
-            ("arrival", "arrival"),
-            ("mean_prompt_tokens", "mean_prompt_tokens"),
-            ("mean_decode_tokens", "mean_decode_tokens"),
-            ("engine", "engine"),
-            ("max_batch", "max_batch"),
-            ("prefill_budget", "prefill_token_budget"),
-            ("priority", "priority"),
-            ("decode_marginal", "decode_marginal_fraction"),
-        ):
-            if flag in provided:
-                serving = replace(serving, **{fname: getattr(args, flag)})
-        for flag, fname in (
-            ("damping", "damping"),
-            ("max_iters", "max_iterations"),
-            ("tol", "p99_tolerance"),
-            ("dram_workers", "dram_workers"),
-        ):
-            if flag in provided:
-                loop = replace(loop, **{fname: getattr(args, flag)})
-        return replace(
-            base,
-            scheme=args.scheme if "scheme" in provided else base.scheme,
-            seed=args.seed if "seed" in provided else base.seed,
-            n_requests=args.requests if "requests" in provided else base.n_requests,
-            slo_p99_ms=(
-                args.slo_p99_ms if "slo_p99_ms" in provided else base.slo_p99_ms
-            ),
-            rates=rates or base.rates,
-            cost=cost,
-            replay=replay,
-            serving=serving,
-            loop=loop,
+    if config_path:
+        base = ExperimentConfig.load(config_path)
+    elif preset:
+        base = get_preset(preset)
+    else:
+        base = ExperimentConfig()
+    cost, replay = base.cost, base.replay
+    serving, loop = base.serving, base.loop
+    if "workload" in provided:
+        cost = replace(cost, workload=args.workload)
+    if "encode_us" in provided or "decode_us" in provided:
+        cost = replace(
+            cost,
+            encode_us=getattr(args, "encode_us", None),
+            decode_us=getattr(args, "decode_us", None),
         )
-
-    smoke = getattr(args, "smoke", False)
-    if smoke:
-        # CI-sized closed loop: synthetic per-token costs and a small
-        # DRAM config tuned so memory saturates within ~100k DRAM
-        # requests per serving run (finishes in seconds).  Decode-heavy
-        # mix: the paper's bandwidth-bound regime, and the one where
-        # continuous batching's amortized weight streaming separates
-        # from fifo at the saturating grid point.  The saturating grid
-        # point needs ~12 bisection iterations.
-        args.encode_us = 0.002
-        args.decode_us = 0.02
-        args.small_dram = True
-        args.bytes_per_token = 8192
-        args.max_blocks = 1024
-        args.requests = min(args.requests, 60)
-        args.mean_prompt_tokens = 8
-        args.mean_decode_tokens = 24
-        args.max_iters = max(args.max_iters, 16)
-        rates = (1e5, 1e6, 4e6)
-    if rates is None:
-        rates = (0.5, 1.0, 2.0, 4.0)
-    if (args.encode_us is None) != (args.decode_us is None):
-        raise ValueError("--encode-us and --decode-us must be given together")
-    return ExperimentConfig(
-        mode="cosim",
-        scheme=args.scheme,
-        seed=args.seed,
-        n_requests=args.requests,
-        rates=rates,
-        slo_p99_ms=args.slo_p99_ms,
-        cost=CostConfig(
-            workload=args.workload,
-            encode_us=args.encode_us,
-            decode_us=args.decode_us,
-        ),
-        replay=ReplayConfig(
-            dram="small" if args.small_dram else "lpddr5x",
-            synthetic=args.synthetic_regions,
-            bytes_per_token=args.bytes_per_token,
-            max_blocks_per_request=args.max_blocks,
-            # --smoke pins the 16-expert geometry; otherwise the
-            # planner is sized from the workload model.
-            n_experts=16 if smoke else None,
-        ),
-        serving=ServingConfig(
-            engine=args.engine,
-            arrival=args.arrival,
-            mean_prompt_tokens=args.mean_prompt_tokens,
-            mean_decode_tokens=args.mean_decode_tokens,
-            max_batch=args.max_batch,
-            prefill_token_budget=args.prefill_budget,
-            priority=args.priority,
-            decode_marginal_fraction=args.decode_marginal,
-        ),
-        loop=LoopConfig(
-            damping=args.damping,
-            max_iterations=args.max_iters,
-            p99_tolerance=args.tol,
-            dram_workers=args.dram_workers,
-        ),
+    if "small_dram" in provided:
+        replay = replace(replay, dram="small")
+    if "synthetic_regions" in provided:
+        replay = replace(replay, synthetic=True)
+    if "bytes_per_token" in provided:
+        replay = replace(replay, bytes_per_token=args.bytes_per_token)
+    if "max_blocks" in provided:
+        replay = replace(replay, max_blocks_per_request=args.max_blocks)
+    for flag, fname in (
+        ("arrival", "arrival"),
+        ("mean_prompt_tokens", "mean_prompt_tokens"),
+        ("mean_decode_tokens", "mean_decode_tokens"),
+        ("engine", "engine"),
+        ("max_batch", "max_batch"),
+        ("prefill_budget", "prefill_token_budget"),
+        ("priority", "priority"),
+        ("decode_marginal", "decode_marginal_fraction"),
+    ):
+        if flag in provided:
+            serving = replace(serving, **{fname: getattr(args, flag)})
+    for flag, fname in (
+        ("damping", "damping"),
+        ("max_iters", "max_iterations"),
+        ("tol", "p99_tolerance"),
+        ("dram_workers", "dram_workers"),
+    ):
+        if flag in provided:
+            loop = replace(loop, **{fname: getattr(args, flag)})
+    return replace(
+        base,
+        scheme=args.scheme if "scheme" in provided else base.scheme,
+        seed=args.seed if "seed" in provided else base.seed,
+        n_requests=args.requests if "requests" in provided else base.n_requests,
+        slo_p99_ms=args.slo_p99_ms if "slo_p99_ms" in provided else base.slo_p99_ms,
+        rates=_parse_rates(getattr(args, "rates", None)) or base.rates,
+        cost=cost,
+        replay=replay,
+        serving=serving,
+        loop=loop,
     )
-
-
 
 
 def _print_traffic_columns(sweep) -> None:
@@ -576,14 +481,10 @@ def _cosim_export(trace, path: str) -> None:
 
 def _cmd_cosim(args: argparse.Namespace) -> int:
     from repro.cosim import CosimDriver, format_sweep
-    from repro.serving.workload import RequestGenerator
 
-    provided = {key for key in _COSIM_DEFAULTS if hasattr(args, key)}
-    for key, value in _COSIM_DEFAULTS.items():
-        if not hasattr(args, key):
-            setattr(args, key, value)
+    export_trace = getattr(args, "export_trace", None)
     try:
-        exp = _experiment_config(args, provided)
+        exp = _experiment_config(args)
 
         if args.cosim_command == "sweep":
             from repro.cosim import SWEEP_CKPT_SUFFIX, SweepInterrupted
@@ -630,7 +531,7 @@ def _cmd_cosim(args: argparse.Namespace) -> int:
             _print_traffic_columns(sweep)
             sweep.save(args.output)
             print(f"wrote {args.output}")
-            if args.export_trace is not None:
+            if export_trace is not None:
                 exported = runs[-1]
                 export_rate = rates[-1]
                 if args.export_rate is not None:
@@ -652,7 +553,7 @@ def _cmd_cosim(args: argparse.Namespace) -> int:
                         file=sys.stderr,
                     )
                 else:
-                    _cosim_export(exported.final_trace, args.export_trace)
+                    _cosim_export(exported.final_trace, export_trace)
             failed = [p for p in sweep.points if p.failed]
             for p in failed:
                 print(
@@ -670,19 +571,16 @@ def _cmd_cosim(args: argparse.Namespace) -> int:
                 return 1
             return 1 if failed else 0
 
+        from repro.cosim.sweep import point_requests
         from repro.experiments import build_components
 
-        cost, scheme, planner, config = build_components(exp)
-        generator = RequestGenerator(
-            args.rate,
-            mean_prompt_tokens=exp.serving.mean_prompt_tokens,
-            mean_decode_tokens=exp.serving.mean_decode_tokens,
-            seed=exp.seed,
-            arrival=exp.serving.arrival,
+        cost, scheme, planner = build_components(exp)
+        requests = point_requests(args.rate, exp.n_requests, exp.seed, exp.serving)
+        driver = CosimDriver(
+            cost, scheme, planner, serving=exp.serving, loop=exp.loop
         )
-        driver = CosimDriver(cost, scheme, planner, config=config)
         try:
-            result = driver.run(generator.generate(exp.n_requests))
+            result = driver.run(requests)
         finally:
             driver.close()
     except (OSError, ValueError) as exc:
@@ -722,8 +620,8 @@ def _cmd_cosim(args: argparse.Namespace) -> int:
             f"residual {result.residual_seconds_per_token * 1e9:.3f} ns/token",
             file=sys.stderr,
         )
-    if args.export_trace is not None and result.final_trace is not None:
-        _cosim_export(result.final_trace, args.export_trace)
+    if export_trace is not None and result.final_trace is not None:
+        _cosim_export(result.final_trace, export_trace)
     return 0 if result.converged else 1
 
 
@@ -733,12 +631,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     from repro.cluster import format_cluster_sweep
     from repro.experiments import run_experiment
 
-    provided = {key for key in _COSIM_DEFAULTS if hasattr(args, key)}
-    for key, value in _COSIM_DEFAULTS.items():
-        if not hasattr(args, key):
-            setattr(args, key, value)
     try:
-        exp = _experiment_config(args, provided)
+        exp = _experiment_config(args)
         cluster = exp.cluster
         overrides = {}
         if args.replicas is not None:
@@ -925,10 +819,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "config instead of LPDDR5X-8533")
 
     # Shared options appear on both `cosim` and `cosim sweep`.  All
-    # defaults are SUPPRESS (applied later from _COSIM_DEFAULTS): the
-    # sweep subparser shares the namespace with its parent, so a real
-    # default here would silently overwrite a value the user passed
-    # before the `sweep` token.
+    # defaults are SUPPRESS (a flag the user did not type leaves its
+    # ExperimentConfig field alone): the sweep subparser shares the
+    # namespace with its parent, so a real default here would silently
+    # overwrite a value the user passed before the `sweep` token.
     supp = argparse.SUPPRESS
     cosim_common = argparse.ArgumentParser(add_help=False, argument_default=supp)
     cosim_common.add_argument("--scheme", choices=[s.value for s in Scheme])
@@ -1028,8 +922,10 @@ def build_parser() -> argparse.ArgumentParser:
                                   "N-worker process pool (bit-identical to "
                                   "the serial sweep; default: serial)")
     cosim_sweep.add_argument("--smoke", action="store_true",
-                             help="CI-sized closed-loop sweep (synthetic "
-                                  "costs, small DRAM, pinned rate grid)")
+                             help="shorthand for --preset smoke (CI-sized: "
+                                  "synthetic costs, small DRAM); like any "
+                                  "preset, explicit flags such as "
+                                  "--requests or --max-iters override it")
     cosim_sweep.add_argument("--export-rate", type=float, default=None,
                              help="grid rate whose converged trace "
                                   "--export-trace writes (default: highest)")

@@ -31,20 +31,21 @@ import numpy as np
 from repro.analysis.report import format_table
 from repro.core.strategies import Scheme
 from repro.serving.simulator import CostModel
-from repro.serving.workload import RequestGenerator
 from repro.util.atomic_io import atomic_write_json
 from repro.workloads.serialization import check_format_version
 
 from repro.cluster.balancer import assign_replicas
 from repro.cluster.backend import ShardedDramBackend
 from repro.cluster.config import ClusterConfig
-from repro.cosim.driver import CosimConfig, CosimDriver, CosimResult
+from repro.cosim.driver import CosimDriver, CosimResult, config_layers
 from repro.cosim.sweep import (
     SweepPoint,
     _failed_point,
     _point_from_run,
     _traffic_columns,
+    point_requests,
     slo_capacity,
+    sweep_provenance,
 )
 
 CLUSTER_SWEEP_FORMAT_VERSION = 1
@@ -304,17 +305,19 @@ def run_cluster_sweep(
     cluster: Optional[ClusterConfig] = None,
     n_requests: int = 100,
     seed: int = 0,
-    arrival: str = "poisson",
-    mean_prompt_tokens: int = 512,
-    mean_decode_tokens: int = 32,
-    cosim_config: Optional[CosimConfig] = None,
+    serving=None,
+    loop=None,
     slo_p99_seconds: Optional[float] = None,
     on_point: Optional[Callable[[int, str, float, SweepPoint], None]] = None,
     traffic=None,
 ) -> tuple[ClusterSweepResult, dict[tuple[int, str], list[Optional[CosimResult]]]]:
     """Sweep the full replica x policy x rate grid.
 
-    Every (curve, rate) point regenerates the request stream with the
+    ``serving`` and ``loop`` are the experiment's
+    :class:`~repro.experiments.config.ServingConfig` and
+    :class:`~repro.experiments.config.LoopConfig` layers (defaults
+    when ``None``), exactly as :func:`repro.cosim.sweep.run_load_sweep`
+    reads them.  Every (curve, rate) point regenerates the request stream with the
     *same* seeded generator the single-device sweep uses -- offered
     load is a property of the outside world, not of the fleet shape --
     then splits it across replicas with the configured balancer and
@@ -342,31 +345,23 @@ def run_cluster_sweep(
     if planner is None:
         raise ValueError("cluster sweeps need a replay planner")
     cluster = cluster or ClusterConfig()
-    cfg = cosim_config or CosimConfig()
+    serving, loop = config_layers(serving, loop)
     result = ClusterSweepResult(
         scheme=scheme.value,
-        arrival=arrival,
+        arrival=serving.arrival,
         n_requests=n_requests,
         seed=seed,
         cluster=cluster,
-        config={
-            "damping": cfg.damping,
-            "max_iterations": cfg.max_iterations,
-            "p99_tolerance": cfg.p99_tolerance,
-            "bytes_per_token": planner.bytes_per_token,
-            "max_blocks_per_request": planner.max_blocks_per_request,
-            "dram_channels": planner.config.organization.n_channels,
-            "encode_seconds_per_token": cost_model.encode_seconds_per_token,
-            "decode_seconds_per_token": cost_model.decode_seconds_per_token,
-            "mean_prompt_tokens": mean_prompt_tokens,
-            "mean_decode_tokens": mean_decode_tokens,
-            "engine": cfg.engine,
-            "rates": [float(r) for r in rates],
-        },
+        config=sweep_provenance(
+            cost_model,
+            planner,
+            serving,
+            loop,
+            traffic,
+            rates=[float(r) for r in rates],
+        ),
     )
     if traffic is not None:
-        # Scenario provenance; key absent on legacy sweeps.
-        result.config["traffic"] = traffic.to_dict()
         result.tenant_slo_p99_ms = {
             t.name: t.slo_p99_ms for t in traffic.tenants
         }
@@ -376,36 +371,14 @@ def run_cluster_sweep(
             curve = ClusterCurve(replicas=n_replicas, policy=policy)
             curve_runs: list[Optional[CosimResult]] = []
             for rate in rates:
-                if traffic is not None:
-                    from repro.traffic.generate import generate_requests
-
-                    requests = list(
-                        generate_requests(
-                            rate,
-                            n_requests,
-                            mean_prompt_tokens=mean_prompt_tokens,
-                            mean_decode_tokens=mean_decode_tokens,
-                            seed=seed,
-                            arrival=arrival,
-                            traffic=traffic,
-                        )
-                    )
-                else:
-                    requests = list(
-                        RequestGenerator(
-                            rate,
-                            mean_prompt_tokens=mean_prompt_tokens,
-                            mean_decode_tokens=mean_decode_tokens,
-                            seed=seed,
-                            arrival=arrival,
-                        ).generate(n_requests)
-                    )
+                requests = point_requests(rate, n_requests, seed, serving, traffic)
                 try:
                     point, run = _run_cluster_point(
                         cost_model,
                         scheme,
                         planner,
-                        cfg,
+                        serving,
+                        loop,
                         cluster,
                         n_replicas,
                         policy,
@@ -450,7 +423,8 @@ def _run_cluster_point(
     cost_model: CostModel,
     scheme: Scheme,
     planner,
-    cfg: CosimConfig,
+    serving,
+    loop,
     cluster: ClusterConfig,
     n_replicas: int,
     policy: str,
@@ -477,13 +451,13 @@ def _run_cluster_point(
             n_devices=cluster.devices_per_replica,
             policy=policy,
             planner=planner,
-            window=cfg.scheduler_window,
+            window=loop.scheduler_window,
             activation_bytes_per_token=cluster.activation_bytes_per_token,
             hot_fraction=cluster.hot_fraction,
-            dram_workers=cfg.dram_workers,
+            dram_workers=loop.dram_workers,
         )
         driver = CosimDriver(
-            cost_model, scheme, planner, config=cfg, backend=backend
+            cost_model, scheme, planner, serving=serving, loop=loop, backend=backend
         )
         try:
             runs.append(driver.run(subset))

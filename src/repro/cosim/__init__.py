@@ -2,8 +2,10 @@
 
 The serving simulator and the cycle-level memory controller each model
 half of the system; this package runs them as one: a fixed-point loop
-(:class:`CosimDriver`) feeds measured DRAM queueing back into the
-serving cost model, an expert-faithful replay planner
+(:class:`CosimDriver`, one loop for both serving engines, configured
+by :class:`repro.experiments.ServingConfig` and
+:class:`repro.experiments.LoopConfig`) feeds measured DRAM queueing
+back into the serving cost model, an expert-faithful replay planner
 (:class:`ExpertReplayPlanner`) targets the weight regions of the
 experts each request actually activated, and a load-sweep runner
 (:func:`run_load_sweep`) produces the closed-loop tail-latency
@@ -12,7 +14,6 @@ cosim`` and ``repro cosim sweep``.
 """
 
 from repro.cosim.driver import (
-    CosimConfig,
     CosimDriver,
     CosimIteration,
     CosimResult,
@@ -42,7 +43,6 @@ __all__ = [
     "PHASE_PREFILL",
     "SWEEP_CKPT_SUFFIX",
     "SWEEP_FORMAT_VERSION",
-    "CosimConfig",
     "CosimDriver",
     "CosimIteration",
     "CosimResult",

@@ -5,15 +5,29 @@ calibrated at *unloaded* memory; the cycle-level DRAM controller then
 shows how much queueing the serving run's bursts actually suffer.
 :class:`CosimDriver` closes that loop:
 
-1. run the serving simulation with the current cost model;
+1. run the serving engine with the current per-token surcharges;
 2. replay the run as a DRAM arrival stream (expert-faithful regions
    via :class:`~repro.cosim.replay.ExpertReplayPlanner`) and measure
-   each serving request's *memory contention*: the cycles by which its
-   burst's makespan exceeds what the same burst achieves in isolation
-   (so intrinsic self-queueing inside a burst is not double-counted);
-3. convert contention into a per-token surcharge on the cost model
-   (damped fixed-point update) and repeat until the serving p99
-   latency stops moving.
+   each serving request's *memory contention*: how much longer its
+   DRAM traffic takes than the same traffic in isolation (so
+   intrinsic self-queueing is not double-counted);
+3. convert contention into per-token surcharges and update each one
+   with its own scalar search (damped steps until the fixed point is
+   bracketed, then bisection); repeat until the serving p99 latency
+   stops moving.
+
+There is one loop.  What differs per serving engine lives in a small
+*estimator* picked from ``ServingConfig.engine``: ``serve`` runs the
+engine with the current surcharges, ``measure`` turns one DRAM replay
+into measured surcharges, and ``n_surcharges`` says how many searches
+run.  The ``fifo`` estimator (the seed :class:`ServingSimulator`)
+has one surcharge on both phases and compares per-request makespans
+with a cached isolation baseline; the ``batching`` estimator
+(:class:`~repro.serving.engine.BatchingEngine`) has separate prefill
+and decode surcharges and splits each request's extra wait between
+the phases by their share of its traffic.  All knobs come from the
+experiment config layers :class:`~repro.experiments.config.
+ServingConfig` and :class:`~repro.experiments.config.LoopConfig`.
 
 At low offered load bursts never overlap, contention is zero, and the
 loop converges immediately to the open-loop result; near saturation
@@ -32,6 +46,7 @@ import numpy as np
 from repro.core.strategies import Scheme
 from repro.dram.config import DRAMConfig, DRAMOrganization, LPDDR5X_8533
 from repro.dram.controller import ControllerStats, MemoryController
+from repro.serving.engine import BatchConfig, BatchingEngine, PhaseCostModel
 from repro.serving.simulator import CostModel, ServingResult, ServingSimulator
 from repro.serving.workload import Request
 
@@ -124,91 +139,18 @@ class SingleDeviceBackend:
         self.close()
 
 
-@dataclass(frozen=True)
-class CosimConfig:
-    """Fixed-point loop knobs.
-
-    ``damping`` scales each update toward the newly measured per-token
-    surcharge (1.0 = undamped) while the loop is still searching for
-    an upper bound on the fixed point.  The measured surcharge is
-    monotone *decreasing* in the applied surcharge (more surcharge
-    spreads bursts apart, so they contend less), so once some
-    iteration measures less contention than it applied the fixed
-    point is bracketed and the driver switches to bisection -- near
-    memory saturation the map is stiff (a small surcharge change
-    flips bursts between fully packed and fully spread) and plain
-    damped iteration limit-cycles where bisection contracts
-    geometrically.  ``damping_decay`` shrinks the damped step each
-    iteration (step_k = damping / (1 + k * damping_decay)) as a
-    safety net when a noisy measurement breaks the bracket.  The loop
-    stops once the relative change in serving p99 between iterations
-    falls below ``p99_tolerance`` (or after ``max_iterations``).
-    """
-
-    damping: float = 0.6
-    damping_decay: float = 0.5
-    max_iterations: int = 8
-    p99_tolerance: float = 0.02
-    queue_limit: int = 4096
-    scheduler_window: int = 64
-    #: >= 2 fans each DRAM replay's per-channel drains out over one
-    #: shared worker pool (repro.dram.parallel) -- bit-identical
-    #: stats, so convergence trajectories do not change.
-    dram_workers: int = 0
-    #: serving model inside the loop: "fifo" (seed behavior, one
-    #: scalar surcharge) or "batching" (continuous batching with
-    #: distinct prefill/decode surcharges measured from phase bursts)
-    engine: str = "fifo"
-    #: batching-engine admission knobs (ignored on the fifo path);
-    #: see :class:`repro.serving.engine.BatchConfig`
-    max_batch: int = 8
-    prefill_token_budget: int = 4096
-    priority: str = "prefill"
-    #: fraction of a decode step's serving cost that scales per
-    #: request (the rest is the fixed, batch-amortized weight-stream
-    #: share); see :class:`repro.serving.engine.PhaseCostModel`
-    decode_marginal_fraction: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must be in (0, 1]")
-        if self.damping_decay < 0:
-            raise ValueError("damping_decay must be non-negative")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.p99_tolerance < 0:
-            raise ValueError("p99_tolerance must be non-negative")
-        if self.queue_limit < 1:
-            raise ValueError("queue_limit must be >= 1")
-        if self.dram_workers < 0:
-            raise ValueError("dram_workers must be non-negative")
-        if self.engine not in ("fifo", "batching"):
-            raise ValueError(f"engine must be 'fifo' or 'batching', got {self.engine!r}")
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        if self.prefill_token_budget < 1:
-            raise ValueError("prefill_token_budget must be >= 1")
-        if not 0.0 <= self.decode_marginal_fraction <= 1.0:
-            raise ValueError("decode_marginal_fraction must be in [0, 1]")
-
-    def step(self, iteration: int) -> float:
-        """Update step size for the given iteration index."""
-        return self.damping / (1.0 + iteration * self.damping_decay)
-
-
 class _SurchargeSearch:
     """Scalar fixed-point search on one per-token surcharge.
 
     The measured surcharge is monotone decreasing in the applied one,
     so the search runs damped iteration until the fixed point is
     bracketed, then bisects; a collapsed bracket (noise) restarts the
-    damped phase.  Extracted verbatim from the seed loop -- the fifo
-    path's float arithmetic is unchanged -- and instantiated twice
-    (prefill, decode) by the batching path.
+    damped phase.  The loop runs one per estimator surcharge; step
+    sizes come from :meth:`~repro.experiments.config.LoopConfig.step`.
     """
 
-    def __init__(self, config: "CosimConfig") -> None:
-        self.cfg = config
+    def __init__(self, loop) -> None:
+        self.loop = loop
         self.extra = 0.0
         # Bisection bracket on the self-consistency residual
         # measured(extra) - extra: lo under-corrects, hi over-corrects.
@@ -223,7 +165,7 @@ class _SurchargeSearch:
         elif self.hi is None or extra < self.hi:
             self.hi = extra
         if self.hi is None:
-            extra += self.cfg.step(index) * (measured - extra)
+            extra += self.loop.step(index) * (measured - extra)
         elif self.hi > self.lo:
             extra = 0.5 * (self.lo + self.hi)
         else:
@@ -258,9 +200,9 @@ class CosimIteration:
     dram_total_cycles: int
     #: relative p99 change vs the previous iteration (inf for the first)
     p99_delta: float
-    # Additive per-phase fields (batching engine; the fifo path leaves
-    # them at their defaults, where the scalar fields above are the
-    # whole story).
+    # Additive per-phase fields (batching engine; the fifo estimator
+    # leaves them at their defaults, where the scalar fields above are
+    # the whole story).
     extra_prefill_seconds_per_token: float = 0.0
     extra_decode_seconds_per_token: float = 0.0
     measured_prefill_seconds_per_token: float = 0.0
@@ -300,26 +242,199 @@ class CosimResult:
         return len(self.iterations)
 
 
+def config_layers(serving=None, loop=None):
+    """``(serving, loop)`` with the :class:`~repro.experiments.config.
+    ServingConfig` / :class:`~repro.experiments.config.LoopConfig`
+    defaults filled in for ``None``.  Imported lazily: the config
+    module reaches this one through :mod:`repro.cluster`."""
+    from repro.experiments.config import LoopConfig, ServingConfig
+
+    return (
+        ServingConfig() if serving is None else serving,
+        LoopConfig() if loop is None else loop,
+    )
+
+
+class _FifoEstimator:
+    """The seed FIFO simulator with one scalar per-token surcharge on
+    both phases.
+
+    Contention is each request's burst makespan over its isolated
+    makespan; the baseline is cached per request across the
+    iterations of one run when the planner's addresses do not depend
+    on arrival times (``stable_addresses``), so a request's bursts
+    never change.
+    """
+
+    n_surcharges = 1
+
+    def __init__(self, cost_model: CostModel, scheme: Scheme, serving) -> None:
+        self.cost_model = cost_model
+        self.scheme = scheme
+        self.queue_limit = serving.queue_limit
+
+    def serve(self, requests: list[Request], extras=(0.0,)) -> ServingResult:
+        (extra,) = extras
+        cost = CostModel(
+            self.cost_model.encode_seconds_per_token + extra,
+            self.cost_model.decode_seconds_per_token + extra,
+        )
+        return ServingSimulator(
+            cost, self.scheme, queue_limit=self.queue_limit
+        ).run(requests)
+
+    def measure(self, driver, trace, timings, serving, extras):
+        """``(measured surcharge per search, engine-specific
+        CosimIteration fields)``."""
+        (extra,) = extras
+        uniq, contention = driver._makespan_contention(
+            trace, timings.complete_cycles, driver._isolation_baseline(trace)
+        )
+        tokens = np.array(
+            [trace.tokens_by_request[int(r)] for r in uniq.tolist()],
+            dtype=np.float64,
+        )
+        cycle_time = driver.planner.config.timing.cycle_time
+        measured = float(contention.sum() * cycle_time / tokens.sum())
+        return (measured,), {
+            "extra_seconds_per_token": extra,
+            "measured_seconds_per_token": measured,
+        }
+
+
+class _BatchingEstimator:
+    """Continuous batching with distinct prefill and decode surcharges.
+
+    Each request's extra DRAM wait (worst element latency vs the
+    isolated baseline, which serializes requests but keeps each
+    request's intra-step arrival offsets) is charged once and split
+    between the phases by each phase's share of the request's emitted
+    traffic; each phase runs its own surcharge search.  The baseline
+    is recalibrated every iteration: decode-burst traffic and arrival
+    offsets depend on the step batch composition, which shifts as the
+    surcharges reshape the serving timeline.
+    """
+
+    n_surcharges = 2
+
+    def __init__(self, cost_model: CostModel, scheme: Scheme, serving) -> None:
+        self.scheme = scheme
+        self.cost_model = PhaseCostModel.from_cost_model(
+            cost_model, decode_marginal_fraction=serving.decode_marginal_fraction
+        )
+        self.batch_config = BatchConfig(
+            max_batch=serving.max_batch,
+            prefill_token_budget=serving.prefill_token_budget,
+            priority=serving.priority,
+            queue_limit=serving.queue_limit,
+        )
+
+    def serve(self, requests: list[Request], extras=(0.0, 0.0)) -> ServingResult:
+        extra_p, extra_d = extras
+        return BatchingEngine(
+            self.cost_model,
+            self.scheme,
+            self.batch_config,
+            extra_prefill_seconds_per_token=extra_p,
+            extra_decode_seconds_per_token=extra_d,
+        ).run(requests)
+
+    def measure(self, driver, trace, timings, serving, extras):
+        """``(measured surcharge per search, engine-specific
+        CosimIteration fields)``."""
+        extra_p, extra_d = extras
+        prompt_tokens = float(sum(c.request.prompt_tokens for c in serving.completed))
+        decode_tokens = float(sum(c.request.decode_tokens for c in serving.completed))
+        total_tokens = max(prompt_tokens + decode_tokens, 1.0)
+        if trace.phases is not None:
+            # One congestion episode delays a request once, however
+            # many of its step-bursts overlap it.  Batch-amortized
+            # decode bursts carry 1/batch of the weight stream, so at
+            # high batch the split automatically shifts the charge
+            # toward prefill, whose traffic is not amortizable.
+            lat = timings.complete_cycles - trace.arrive_cycles
+            lat_iso = driver._isolated_element_latencies(trace)
+            uniq, inverse = np.unique(trace.request_ids, return_inverse=True)
+            measured_max = np.zeros(len(uniq), dtype=np.int64)
+            np.maximum.at(measured_max, inverse, lat)
+            iso_max = np.zeros(len(uniq), dtype=np.int64)
+            np.maximum.at(iso_max, inverse, lat_iso)
+            waits = np.maximum(measured_max - iso_max, 0).astype(np.float64)
+            waits = driver._transfer_surcharge(trace, waits, uniq)
+            pre_counts = np.bincount(
+                inverse, weights=(trace.phases == 0), minlength=len(uniq)
+            )
+            tot_counts = np.bincount(inverse, minlength=len(uniq))
+            pre_share = pre_counts / np.maximum(tot_counts, 1)
+            prefill_cycles = float((waits * pre_share).sum())
+            decode_cycles = float(waits.sum()) - prefill_cycles
+        else:
+            # Planner without phase bursts (synthetic replay): the
+            # fifo per-request estimator, uncached, with the lump
+            # contention split by token share.
+            _, contention = driver._makespan_contention(
+                trace, timings.complete_cycles, driver._isolated_makespans(trace)
+            )
+            total = float(contention.sum())
+            prefill_cycles = total * prompt_tokens / total_tokens
+            decode_cycles = total - prefill_cycles
+        cycle_time = driver.planner.config.timing.cycle_time
+        measured_p = prefill_cycles * cycle_time / prompt_tokens if prompt_tokens else 0.0
+        measured_d = decode_cycles * cycle_time / decode_tokens if decode_tokens else 0.0
+        return (measured_p, measured_d), {
+            "extra_seconds_per_token": (
+                extra_p * prompt_tokens + extra_d * decode_tokens
+            )
+            / total_tokens,
+            "measured_seconds_per_token": (
+                (prefill_cycles + decode_cycles) * cycle_time / total_tokens
+            ),
+            "extra_prefill_seconds_per_token": extra_p,
+            "extra_decode_seconds_per_token": extra_d,
+            "measured_prefill_seconds_per_token": measured_p,
+            "measured_decode_seconds_per_token": measured_d,
+            "serving_ttft_p99": serving.ttft_percentile(99),
+            "serving_queue_delay_p99": serving.queue_delay_percentile(99),
+        }
+
+
+_ESTIMATORS = {"fifo": _FifoEstimator, "batching": _BatchingEstimator}
+
+
+def make_estimator(cost_model: CostModel, scheme: Scheme, serving):
+    """The contention estimator for ``serving.engine``; its
+    ``serve(requests)`` is also the serving-only (open-loop) run."""
+    return _ESTIMATORS[serving.engine](cost_model, scheme, serving)
+
+
 class CosimDriver:
-    """Alternates serving runs and DRAM replays to a fixed point."""
+    """Alternates serving runs and DRAM replays to a fixed point.
+
+    ``serving`` (:class:`~repro.experiments.config.ServingConfig`)
+    picks the engine and its admission knobs; ``loop``
+    (:class:`~repro.experiments.config.LoopConfig`) holds the
+    fixed-point knobs and the DRAM scheduler window / drain workers.
+    """
 
     def __init__(
         self,
         cost_model: CostModel,
         scheme: Scheme,
         planner,
-        config: Optional[CosimConfig] = None,
+        serving=None,
+        loop=None,
         backend=None,
     ) -> None:
         self.cost_model = cost_model
         self.scheme = scheme
         self.planner = planner
-        self.config = config or CosimConfig()
+        self.serving, self.loop = config_layers(serving, loop)
+        self.estimator = make_estimator(cost_model, scheme, self.serving)
         if backend is None:
             backend = SingleDeviceBackend(
                 planner.config,
-                window=self.config.scheduler_window,
-                dram_workers=self.config.dram_workers,
+                window=self.loop.scheduler_window,
+                dram_workers=self.loop.dram_workers,
             )
             self._owns_backend = True
         else:
@@ -353,23 +468,18 @@ class CosimDriver:
         )
         return contention + extra
 
-    @staticmethod
-    def _burst_makespans(
-        ids: np.ndarray, arrive: np.ndarray, complete: np.ndarray
+    def _makespan_contention(
+        self, trace: ReplayTrace, complete: np.ndarray, iso: dict[int, int]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(unique burst ids, burst makespan in cycles per id)."""
-        uniq, inverse = np.unique(ids, return_inverse=True)
+        """(unique request ids, contention cycles per id): each
+        request's burst makespan over its isolated makespan ``iso``,
+        plus any inter-device transfer cost."""
+        uniq, inverse = np.unique(trace.request_ids, return_inverse=True)
         makespans = np.zeros(len(uniq), dtype=np.int64)
-        np.maximum.at(makespans, inverse, complete - arrive)
-        return uniq, makespans
-
-    def _per_request_makespans(
-        self, trace: ReplayTrace, complete: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(unique request ids, burst makespan in cycles per id)."""
-        return self._burst_makespans(
-            trace.request_ids, trace.arrive_cycles, complete
-        )
+        np.maximum.at(makespans, inverse, complete - trace.arrive_cycles)
+        iso_arr = np.array([iso[int(r)] for r in uniq.tolist()], dtype=np.int64)
+        contention = np.maximum(makespans - iso_arr, 0).astype(np.float64)
+        return uniq, self._transfer_surcharge(trace, contention, uniq)
 
     def _isolated_makespans(
         self, trace: ReplayTrace, ids: Optional[np.ndarray] = None
@@ -413,7 +523,7 @@ class CosimDriver:
         own decode steps faster than DRAM drains them is therefore
         part of the baseline, and the difference from a measured
         latency is cross-request interference only -- the same
-        quantity the fifo path's per-request baseline measures."""
+        quantity the fifo estimator's per-request baseline measures."""
         t = self.planner.config.timing
         per_access = t.tRC + t.tCL + t.burst_cycles + 2
         rids = trace.request_ids
@@ -458,31 +568,23 @@ class CosimDriver:
         """Run the fixed-point loop over one serving request list."""
         if not requests:
             raise ValueError("cosim needs at least one serving request")
-        if self.config.engine == "batching":
-            return self._run_batching(requests)
         # Baselines are only reusable across the iterations of one
         # run: a different request list can reuse request_ids with
         # different token counts (and so different bursts).
         self._iso_cache.clear()
-        cfg = self.config
-        base_enc = self.cost_model.encode_seconds_per_token
-        base_dec = self.cost_model.decode_seconds_per_token
-        cycle_time = self.planner.config.timing.cycle_time
+        estimator = self.estimator
+        searches = [_SurchargeSearch(self.loop) for _ in range(estimator.n_surcharges)]
+        extras = tuple(search.extra for search in searches)
         result = CosimResult(scheme=self.scheme)
-        extra = 0.0
         prev_p99 = None
-        search = _SurchargeSearch(cfg)
-        # Best iterate so far by |measured - extra|: what the run
-        # reports if it exhausts max_iterations without converging
+        # Best iterate so far by self-consistency residual: what the
+        # run reports if it exhausts max_iterations without converging
         # (the last iterate of a limit cycle can be the worst one).
         best = None
         best_residual = float("inf")
 
-        for index in range(cfg.max_iterations):
-            cost = CostModel(base_enc + extra, base_dec + extra)
-            serving = ServingSimulator(
-                cost, self.scheme, queue_limit=cfg.queue_limit
-            ).run(requests)
+        for index in range(self.loop.max_iterations):
+            serving = estimator.serve(requests, extras)
             if index == 0:
                 result.open_loop = serving
             result.closed_loop = serving
@@ -497,23 +599,12 @@ class CosimDriver:
             result.final_trace = trace
             result.final_dram_stats = stats
 
-            iso = self._isolation_baseline(trace)
-            uniq, makespans = self._per_request_makespans(
-                trace, timings.complete_cycles
-            )
-            iso_arr = np.array([iso[int(r)] for r in uniq.tolist()], dtype=np.int64)
-            contention = np.maximum(makespans - iso_arr, 0).astype(np.float64)
-            contention = self._transfer_surcharge(trace, contention, uniq)
-            tokens = np.array(
-                [trace.tokens_by_request[int(r)] for r in uniq.tolist()],
-                dtype=np.float64,
-            )
-            measured = float(contention.sum() * cycle_time / tokens.sum())
-            residual = abs(measured - extra)
+            measured, fields = estimator.measure(self, trace, timings, serving, extras)
+            residual = sum(abs(m - e) for m, e in zip(measured, extras))
             result.residual_seconds_per_token = residual
             if residual < best_residual:
                 best_residual = residual
-                best = (serving, trace, stats, extra)
+                best = (index, serving, trace, stats)
 
             p99 = serving.latency_percentile(99)
             delta = (
@@ -524,8 +615,6 @@ class CosimDriver:
             result.iterations.append(
                 CosimIteration(
                     index=index,
-                    extra_seconds_per_token=extra,
-                    measured_seconds_per_token=measured,
                     serving_p50=serving.latency_percentile(50),
                     serving_p99=p99,
                     serving_max=serving.latency_percentile(100),
@@ -539,203 +628,31 @@ class CosimDriver:
                     dram_idle_cycles=sum(stats.idle_channel_cycles.values()),
                     dram_total_cycles=stats.total_cycles,
                     p99_delta=delta,
+                    **fields,
                 )
             )
-            result.extra_seconds_per_token = extra
-            if prev_p99 is not None and delta <= cfg.p99_tolerance:
+            if prev_p99 is not None and delta <= self.loop.p99_tolerance:
                 result.converged = True
                 break
             prev_p99 = p99
-            extra = search.update(index, measured)
+            extras = tuple(
+                search.update(index, m) for search, m in zip(searches, measured)
+            )
+        reported = result.iterations[-1] if result.iterations else None
         if not result.converged and best is not None:
             # Ran out of iterations: report the iterate with the
             # smallest self-consistency residual, not whichever one a
             # limit cycle happened to end on.
-            serving_b, trace_b, stats_b, extra_b = best
-            result.closed_loop = serving_b
-            result.final_trace = trace_b
-            result.final_dram_stats = stats_b
-            result.extra_seconds_per_token = extra_b
-            result.residual_seconds_per_token = best_residual
-        return result
-
-    # -- the batching loop -------------------------------------------------
-
-    def _run_batching(self, requests: list[Request]) -> CosimResult:
-        """Fixed-point loop over the continuous-batching engine with
-        distinct prefill/decode surcharges.
-
-        Contention is measured against an isolation baseline that
-        serializes requests but preserves each request's intra-step
-        arrival offsets; each request's extra wait is charged once
-        (the fifo estimator) and split between the phases by the
-        phase's share of the request's emitted traffic, and each
-        phase runs its own scalar surcharge search.  Isolation
-        baselines are recalibrated every iteration: decode-burst
-        traffic and arrival offsets depend on the step batch
-        composition, which shifts as the surcharges reshape the
-        serving timeline, so the fifo path's per-request baseline
-        cache does not apply.
-        """
-        from repro.serving.engine import BatchConfig, BatchingEngine, PhaseCostModel
-
-        cfg = self.config
-        base = PhaseCostModel.from_cost_model(
-            self.cost_model,
-            decode_marginal_fraction=cfg.decode_marginal_fraction,
-        )
-        batch_config = BatchConfig(
-            max_batch=cfg.max_batch,
-            prefill_token_budget=cfg.prefill_token_budget,
-            priority=cfg.priority,
-            queue_limit=cfg.queue_limit,
-        )
-        cycle_time = self.planner.config.timing.cycle_time
-        result = CosimResult(scheme=self.scheme)
-        extra_p = extra_d = 0.0
-        prev_p99 = None
-        search_p = _SurchargeSearch(cfg)
-        search_d = _SurchargeSearch(cfg)
-        best = None
-        best_residual = float("inf")
-
-        for index in range(cfg.max_iterations):
-            serving = BatchingEngine(
-                base,
-                self.scheme,
-                batch_config,
-                extra_prefill_seconds_per_token=extra_p,
-                extra_decode_seconds_per_token=extra_d,
-            ).run(requests)
-            if index == 0:
-                result.open_loop = serving
-            result.closed_loop = serving
-
-            trace = self.planner.replay(serving)
-            if len(trace) == 0:
-                result.converged = True
-                break
-            stats, timings = self.backend.simulate(
-                trace.addrs, trace.arrive_cycles, trace.flags, trace.request_ids
-            )
-            result.final_trace = trace
+            index, result.closed_loop, result.final_trace, stats = best
             result.final_dram_stats = stats
-
-            prompt_tokens = float(
-                sum(c.request.prompt_tokens for c in serving.completed)
-            )
-            decode_tokens = float(
-                sum(c.request.decode_tokens for c in serving.completed)
-            )
-            if trace.phases is not None:
-                # The fifo estimator, phase-attributed: each request's
-                # extra DRAM wait (worst element latency vs the
-                # isolated baseline) is charged exactly once -- one
-                # congestion episode delays a request once, however
-                # many of its step-bursts overlap it -- and split
-                # between the phases by each phase's share of the
-                # request's *emitted* traffic.  Batch-amortized decode
-                # bursts carry 1/batch of the weight stream, so at
-                # high batch the split automatically shifts the charge
-                # toward prefill, whose traffic is not amortizable.
-                lat = timings.complete_cycles - trace.arrive_cycles
-                lat_iso = self._isolated_element_latencies(trace)
-                uniq, inverse = np.unique(trace.request_ids, return_inverse=True)
-                measured_max = np.zeros(len(uniq), dtype=np.int64)
-                np.maximum.at(measured_max, inverse, lat)
-                iso_max = np.zeros(len(uniq), dtype=np.int64)
-                np.maximum.at(iso_max, inverse, lat_iso)
-                waits = np.maximum(measured_max - iso_max, 0).astype(np.float64)
-                waits = self._transfer_surcharge(trace, waits, uniq)
-                pre_counts = np.bincount(
-                    inverse, weights=(trace.phases == 0), minlength=len(uniq)
-                )
-                tot_counts = np.bincount(inverse, minlength=len(uniq))
-                pre_share = pre_counts / np.maximum(tot_counts, 1)
-                prefill_cycles = float((waits * pre_share).sum())
-                decode_cycles = float(waits.sum()) - prefill_cycles
-            else:
-                # Planner without phase bursts (synthetic replay): the
-                # fifo per-request estimator, with the lump contention
-                # split by token share.
-                uniq, makespans = self._per_request_makespans(
-                    trace, timings.complete_cycles
-                )
-                iso = self._isolated_makespans(trace)
-                iso_arr = np.array(
-                    [iso[int(b)] for b in uniq.tolist()], dtype=np.int64
-                )
-                contention = np.maximum(makespans - iso_arr, 0).astype(np.float64)
-                contention = self._transfer_surcharge(trace, contention, uniq)
-                total = float(contention.sum())
-                total_tokens = max(prompt_tokens + decode_tokens, 1.0)
-                prefill_cycles = total * prompt_tokens / total_tokens
-                decode_cycles = total - prefill_cycles
-            measured_p = (
-                prefill_cycles * cycle_time / prompt_tokens if prompt_tokens else 0.0
-            )
-            measured_d = (
-                decode_cycles * cycle_time / decode_tokens if decode_tokens else 0.0
-            )
-            total_tokens = max(prompt_tokens + decode_tokens, 1.0)
-            measured = (prefill_cycles + decode_cycles) * cycle_time / total_tokens
-            extra_scalar = (
-                extra_p * prompt_tokens + extra_d * decode_tokens
-            ) / total_tokens
-            residual = abs(measured_p - extra_p) + abs(measured_d - extra_d)
-            result.residual_seconds_per_token = residual
-            if residual < best_residual:
-                best_residual = residual
-                best = (serving, trace, stats, extra_scalar, extra_p, extra_d)
-
-            p99 = serving.latency_percentile(99)
-            delta = (
-                float("inf")
-                if prev_p99 is None
-                else abs(p99 - prev_p99) / max(prev_p99, 1e-12)
-            )
-            result.iterations.append(
-                CosimIteration(
-                    index=index,
-                    extra_seconds_per_token=extra_scalar,
-                    measured_seconds_per_token=measured,
-                    serving_p50=serving.latency_percentile(50),
-                    serving_p99=p99,
-                    serving_max=serving.latency_percentile(100),
-                    serving_mean=serving.mean_latency,
-                    utilization=serving.utilization,
-                    completed=serving.n_completed,
-                    rejected=serving.rejected,
-                    dram_queue_delay_mean=stats.queue_delay_mean,
-                    dram_queue_delay_p99=stats.queue_delay_p99,
-                    dram_queue_delay_max=stats.queue_delay_max,
-                    dram_idle_cycles=sum(stats.idle_channel_cycles.values()),
-                    dram_total_cycles=stats.total_cycles,
-                    p99_delta=delta,
-                    extra_prefill_seconds_per_token=extra_p,
-                    extra_decode_seconds_per_token=extra_d,
-                    measured_prefill_seconds_per_token=measured_p,
-                    measured_decode_seconds_per_token=measured_d,
-                    serving_ttft_p99=serving.ttft_percentile(99),
-                    serving_queue_delay_p99=serving.queue_delay_percentile(99),
-                )
-            )
-            result.extra_seconds_per_token = extra_scalar
-            result.extra_prefill_seconds_per_token = extra_p
-            result.extra_decode_seconds_per_token = extra_d
-            if prev_p99 is not None and delta <= cfg.p99_tolerance:
-                result.converged = True
-                break
-            prev_p99 = p99
-            extra_p = search_p.update(index, measured_p)
-            extra_d = search_d.update(index, measured_d)
-        if not result.converged and best is not None:
-            serving_b, trace_b, stats_b, scalar_b, extra_p_b, extra_d_b = best
-            result.closed_loop = serving_b
-            result.final_trace = trace_b
-            result.final_dram_stats = stats_b
-            result.extra_seconds_per_token = scalar_b
-            result.extra_prefill_seconds_per_token = extra_p_b
-            result.extra_decode_seconds_per_token = extra_d_b
             result.residual_seconds_per_token = best_residual
+            reported = result.iterations[index]
+        if reported is not None:
+            result.extra_seconds_per_token = reported.extra_seconds_per_token
+            result.extra_prefill_seconds_per_token = (
+                reported.extra_prefill_seconds_per_token
+            )
+            result.extra_decode_seconds_per_token = (
+                reported.extra_decode_seconds_per_token
+            )
         return result

@@ -38,7 +38,7 @@ from repro.serving.workload import RequestGenerator
 from repro.util.atomic_io import atomic_write_json, durable_append
 from repro.workloads.serialization import check_format_version
 
-from repro.cosim.driver import CosimConfig, CosimDriver, CosimResult
+from repro.cosim.driver import CosimDriver, CosimResult, config_layers, make_estimator
 
 SWEEP_FORMAT_VERSION = 1
 SWEEP_CKPT_VERSION = 1
@@ -255,17 +255,92 @@ def slo_capacity(points: list[SweepPoint], p99_threshold: float) -> float:
     return last_ok.rate if last_ok is not None else 0.0
 
 
+def point_requests(rate: float, n_requests: int, seed: int, serving, traffic=None):
+    """The seeded request stream for one offered-load point.
+
+    Shared by the single-device and cluster runners: offered load is a
+    property of the outside world, so every runner sees the same
+    stream at the same rate.  An active ``traffic`` config (tenants /
+    load shape) swaps generation to
+    :func:`repro.traffic.generate.generate_requests`; ``traffic=None``
+    keeps the legacy single-tenant stream exactly.
+    """
+    if traffic is not None:
+        from repro.traffic.generate import generate_requests
+
+        requests = generate_requests(
+            rate,
+            n_requests,
+            mean_prompt_tokens=serving.mean_prompt_tokens,
+            mean_decode_tokens=serving.mean_decode_tokens,
+            seed=seed,
+            arrival=serving.arrival,
+            traffic=traffic,
+        )
+    else:
+        requests = RequestGenerator(
+            rate,
+            mean_prompt_tokens=serving.mean_prompt_tokens,
+            mean_decode_tokens=serving.mean_decode_tokens,
+            seed=seed,
+            arrival=serving.arrival,
+        ).generate(n_requests)
+    return list(requests)
+
+
+def sweep_provenance(
+    cost_model: CostModel, planner, serving, loop, traffic=None, **extra
+) -> dict:
+    """The ``config`` provenance block of a sweep document, shared by
+    the single-device and cluster runners.
+
+    ``extra`` keys (runner-specific) follow the common keys; the
+    batching admission knobs are recorded only for the batching
+    engine and the traffic scenario only when one is active, so fifo
+    legacy documents and their checkpoint fingerprints keep their
+    exact keys.
+    """
+    config = {
+        "damping": loop.damping,
+        "max_iterations": loop.max_iterations,
+        "p99_tolerance": loop.p99_tolerance,
+        "bytes_per_token": planner.bytes_per_token if planner is not None else 0,
+        "max_blocks_per_request": (
+            planner.max_blocks_per_request if planner is not None else 0
+        ),
+        "dram_channels": (
+            planner.config.organization.n_channels if planner is not None else 0
+        ),
+        "encode_seconds_per_token": cost_model.encode_seconds_per_token,
+        "decode_seconds_per_token": cost_model.decode_seconds_per_token,
+        "mean_prompt_tokens": serving.mean_prompt_tokens,
+        "mean_decode_tokens": serving.mean_decode_tokens,
+        "engine": serving.engine,
+        **extra,
+    }
+    if serving.engine == "batching":
+        config.update(
+            {
+                "max_batch": serving.max_batch,
+                "priority": serving.priority,
+                "prefill_token_budget": serving.prefill_token_budget,
+                "decode_marginal_fraction": serving.decode_marginal_fraction,
+            }
+        )
+    if traffic is not None:
+        config["traffic"] = traffic.to_dict()
+    return config
+
+
 def _run_rate_point(
     cost_model: CostModel,
     scheme: Scheme,
     planner,
-    cfg: CosimConfig,
+    serving,
+    loop,
     rate: float,
     n_requests: int,
     seed: int,
-    arrival: str,
-    mean_prompt_tokens: int,
-    mean_decode_tokens: int,
     traffic=None,
 ) -> CosimResult:
     """Run the closed loop at one offered-load point.
@@ -277,65 +352,21 @@ def _run_rate_point(
     serially, in parallel, or in any order.
 
     With ``planner=None`` the point runs serving-only (open loop, no
-    DRAM feedback): the configured engine simulates the rate once and
-    the result is wrapped as a trivially-converged
-    :class:`CosimResult` whose open and closed loops coincide -- the
-    engine-aware successor of the old standalone serving load sweep
-    (the removed ``repro.serving.load_sweep``).
-
-    An active ``traffic`` config (tenants / load shape) swaps request
-    generation to :func:`repro.traffic.generate.generate_requests`;
-    ``traffic=None`` keeps the legacy single-tenant stream exactly.
+    DRAM feedback): the configured engine's estimator serves the rate
+    once with zero surcharges and the result is wrapped as a
+    trivially-converged :class:`CosimResult` whose open and closed
+    loops coincide.
     """
-    if traffic is not None:
-        from repro.traffic.generate import generate_requests
-
-        requests = generate_requests(
-            rate,
-            n_requests,
-            mean_prompt_tokens=mean_prompt_tokens,
-            mean_decode_tokens=mean_decode_tokens,
-            seed=seed,
-            arrival=arrival,
-            traffic=traffic,
-        )
-    else:
-        requests = RequestGenerator(
-            rate,
-            mean_prompt_tokens=mean_prompt_tokens,
-            mean_decode_tokens=mean_decode_tokens,
-            seed=seed,
-            arrival=arrival,
-        ).generate(n_requests)
+    requests = point_requests(rate, n_requests, seed, serving, traffic)
     if planner is None:
-        from repro.serving.engine import BatchConfig, BatchingEngine, PhaseCostModel
-        from repro.serving.simulator import ServingSimulator
-
-        if cfg.engine == "batching":
-            serving = BatchingEngine(
-                PhaseCostModel.from_cost_model(
-                    cost_model,
-                    decode_marginal_fraction=cfg.decode_marginal_fraction,
-                ),
-                scheme,
-                BatchConfig(
-                    max_batch=cfg.max_batch,
-                    prefill_token_budget=cfg.prefill_token_budget,
-                    priority=cfg.priority,
-                    queue_limit=cfg.queue_limit,
-                ),
-            ).run(requests)
-        else:
-            serving = ServingSimulator(
-                cost_model, scheme, queue_limit=cfg.queue_limit
-            ).run(requests)
+        result = make_estimator(cost_model, scheme, serving).serve(requests)
         return CosimResult(
             scheme=scheme,
             converged=True,
-            open_loop=serving,
-            closed_loop=serving,
+            open_loop=result,
+            closed_loop=result,
         )
-    driver = CosimDriver(cost_model, scheme, planner, config=cfg)
+    driver = CosimDriver(cost_model, scheme, planner, serving=serving, loop=loop)
     try:
         return driver.run(requests)
     finally:
@@ -510,10 +541,8 @@ def run_load_sweep(
     rates: list[float],
     n_requests: int = 100,
     seed: int = 0,
-    arrival: str = "poisson",
-    mean_prompt_tokens: int = 512,
-    mean_decode_tokens: int = 32,
-    cosim_config: Optional[CosimConfig] = None,
+    serving=None,
+    loop=None,
     workers: int = 0,
     checkpoint_path=None,
     resume: bool = False,
@@ -522,6 +551,11 @@ def run_load_sweep(
     traffic=None,
 ) -> tuple[SweepResult, list[Optional[CosimResult]]]:
     """Run the closed loop at every rate in the grid.
+
+    ``serving`` (:class:`~repro.experiments.config.ServingConfig`:
+    engine, admission knobs, arrival process and token means) and
+    ``loop`` (:class:`~repro.experiments.config.LoopConfig`) default
+    to their defaults when ``None``.
 
     ``planner=None`` runs the grid serving-only (no DRAM feedback):
     every point is a trivially-converged open-loop run of the
@@ -577,49 +611,22 @@ def run_load_sweep(
         raise ValueError("rates must be sorted ascending")
     if workers < 0:
         raise ValueError("workers must be non-negative")
-    cfg = cosim_config or CosimConfig()
+    serving, loop = config_layers(serving, loop)
     sweep = SweepResult(
         scheme=scheme.value,
-        arrival=arrival,
+        arrival=serving.arrival,
         n_requests=n_requests,
         seed=seed,
-        config={
-            "damping": cfg.damping,
-            "max_iterations": cfg.max_iterations,
-            "p99_tolerance": cfg.p99_tolerance,
-            "bytes_per_token": planner.bytes_per_token if planner is not None else 0,
-            "max_blocks_per_request": (
-                planner.max_blocks_per_request if planner is not None else 0
-            ),
-            "dram_channels": (
-                planner.config.organization.n_channels if planner is not None else 0
-            ),
-            "encode_seconds_per_token": cost_model.encode_seconds_per_token,
-            "decode_seconds_per_token": cost_model.decode_seconds_per_token,
-            "mean_prompt_tokens": mean_prompt_tokens,
-            "mean_decode_tokens": mean_decode_tokens,
-            "engine": cfg.engine,
-            "serving_only": planner is None,
-        },
-        engine=cfg.engine,
+        config=sweep_provenance(
+            cost_model, planner, serving, loop, traffic, serving_only=planner is None
+        ),
+        engine=serving.engine,
     )
-    if cfg.engine == "batching":
-        sweep.config.update(
-            {
-                "max_batch": cfg.max_batch,
-                "priority": cfg.priority,
-                "prefill_token_budget": cfg.prefill_token_budget,
-                "decode_marginal_fraction": cfg.decode_marginal_fraction,
-            }
-        )
     if traffic is not None:
-        # Scenario provenance; key absent on legacy sweeps so their
-        # checkpoint fingerprints are unchanged.
-        sweep.config["traffic"] = traffic.to_dict()
         sweep.tenant_slo_p99_ms = {t.name: t.slo_p99_ms for t in traffic.tenants}
     fingerprint = {
         "scheme": sweep.scheme,
-        "arrival": arrival,
+        "arrival": serving.arrival,
         "n_requests": n_requests,
         "seed": seed,
         "rates": [float(r) for r in rates],
@@ -645,13 +652,11 @@ def run_load_sweep(
             cost_model,
             scheme,
             planner,
-            dataclasses.replace(cfg, dram_workers=0) if use_pool else cfg,
+            serving,
+            dataclasses.replace(loop, dram_workers=0) if use_pool else loop,
             rate,
             n_requests,
             seed,
-            arrival,
-            mean_prompt_tokens,
-            mean_decode_tokens,
             traffic,
         )
         for rate in todo

@@ -12,7 +12,8 @@ accreted, folded into a frozen dataclass hierarchy:
 - :class:`ServingConfig` -- the serving engine and its admission
   knobs (absorbs the old ``BatchConfig`` surface) plus the request
   stream shape;
-- :class:`LoopConfig` -- fixed-point iteration knobs;
+- :class:`LoopConfig` -- fixed-point iteration knobs and the DRAM
+  scheduler window / drain workers;
 - :class:`~repro.cluster.config.ClusterConfig` -- fleet shape
   (cluster mode only);
 - :class:`TrafficConfig` -- production traffic shaping (time-varying
@@ -20,10 +21,15 @@ accreted, folded into a frozen dataclass hierarchy:
   the default is inactive and preserves the legacy request path
   exactly.
 
-``to_dict``/``from_dict`` round-trip exactly (unknown keys are
-rejected, so a typo'd config file fails loudly instead of silently
-running defaults), named presets live in
-:mod:`repro.experiments.presets`, and
+This is the one config source: :class:`~repro.cosim.driver.CosimDriver`,
+:func:`~repro.cosim.sweep.run_load_sweep` and
+:func:`~repro.cluster.sweep.run_cluster_sweep` read the
+:class:`ServingConfig` and :class:`LoopConfig` layers directly, and
+every layer validates its own fields on construction, so a bad config
+file fails at load time and names the field.  ``to_dict``/``from_dict``
+round-trip exactly (unknown keys are rejected, so a typo'd config file
+fails loudly instead of silently running defaults), named presets live
+in :mod:`repro.experiments.presets`, and
 :func:`repro.experiments.runner.run_experiment` executes one config.
 The CLI subcommands are thin flag -> config adapters over this API.
 """
@@ -37,7 +43,6 @@ from typing import Optional
 
 from repro.cluster.config import ClusterConfig
 from repro.core.strategies import Scheme
-from repro.cosim.driver import CosimConfig
 
 
 def _check_keys(cls, data: dict, name: str) -> None:
@@ -127,15 +132,22 @@ class ServingConfig:
     """Serving engine, admission knobs, and request-stream shape
     (absorbs the old standalone ``BatchConfig`` surface)."""
 
+    #: serving model inside the loop: "fifo" (seed behavior, one
+    #: scalar surcharge) or "batching" (continuous batching with
+    #: distinct prefill/decode surcharges measured from phase bursts)
     engine: str = "fifo"
     arrival: str = "poisson"
     mean_prompt_tokens: int = 512
     mean_decode_tokens: int = 32
     queue_limit: int = 4096
-    # batching-engine admission (ignored by fifo)
+    # batching-engine admission (ignored by fifo); see
+    # repro.serving.engine.BatchConfig
     max_batch: int = 8
     prefill_token_budget: int = 4096
     priority: str = "prefill"
+    #: fraction of a decode step's serving cost that scales per
+    #: request (the rest is the fixed, batch-amortized weight-stream
+    #: share); see :class:`repro.serving.engine.PhaseCostModel`
     decode_marginal_fraction: float = 0.5
 
     def __post_init__(self) -> None:
@@ -143,6 +155,14 @@ class ServingConfig:
             raise ValueError(f"engine must be 'fifo' or 'batching', got {self.engine!r}")
         if self.mean_prompt_tokens < 1 or self.mean_decode_tokens < 0:
             raise ValueError("token means out of range")
+        if self.queue_limit < 1:
+            raise ValueError("queue_limit must be >= 1")
+        if self.max_batch < 1:
+            raise ValueError("max_batch must be >= 1")
+        if self.prefill_token_budget < 1:
+            raise ValueError("prefill_token_budget must be >= 1")
+        if not 0.0 <= self.decode_marginal_fraction <= 1.0:
+            raise ValueError("decode_marginal_fraction must be in [0, 1]")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -306,16 +326,51 @@ class TrafficConfig:
 
 @dataclass(frozen=True)
 class LoopConfig:
-    """Fixed-point loop knobs (the iteration half of the legacy
-    :class:`repro.cosim.CosimConfig`; the serving half lives in
-    :class:`ServingConfig`)."""
+    """Fixed-point loop knobs.
+
+    ``damping`` scales each update toward the newly measured per-token
+    surcharge (1.0 = undamped) while the loop is still searching for
+    an upper bound on the fixed point.  The measured surcharge is
+    monotone *decreasing* in the applied surcharge (more surcharge
+    spreads bursts apart, so they contend less), so once some
+    iteration measures less contention than it applied the fixed
+    point is bracketed and the search switches to bisection -- near
+    memory saturation the map is stiff (a small surcharge change
+    flips bursts between fully packed and fully spread) and plain
+    damped iteration limit-cycles where bisection contracts
+    geometrically.  ``damping_decay`` shrinks the damped step each
+    iteration (see :meth:`step`) as a safety net when a noisy
+    measurement breaks the bracket.  The loop stops once the relative
+    change in serving p99 between iterations falls below
+    ``p99_tolerance`` (or after ``max_iterations``).
+    """
 
     damping: float = 0.6
     damping_decay: float = 0.5
     max_iterations: int = 8
     p99_tolerance: float = 0.02
     scheduler_window: int = 64
+    #: >= 2 fans each DRAM replay's per-channel drains out over one
+    #: shared worker pool (repro.dram.parallel) -- bit-identical
+    #: stats, so convergence trajectories do not change.
     dram_workers: int = 0
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.damping <= 1.0:
+            raise ValueError("damping must be in (0, 1]")
+        if self.damping_decay < 0:
+            raise ValueError("damping_decay must be non-negative")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
+        if self.p99_tolerance < 0:
+            raise ValueError("p99_tolerance must be non-negative")
+        if self.dram_workers < 0:
+            raise ValueError("dram_workers must be non-negative")
+
+    def step(self, iteration: int) -> float:
+        """Damped update step size for the given iteration index:
+        ``damping / (1 + iteration * damping_decay)``."""
+        return self.damping / (1.0 + iteration * self.damping_decay)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -357,24 +412,6 @@ class ExperimentConfig:
             raise ValueError("rates must be non-empty")
         if sorted(self.rates) != list(self.rates):
             raise ValueError("rates must be sorted ascending")
-
-    def cosim_config(self) -> CosimConfig:
-        """The legacy flat knob bundle the driver consumes, assembled
-        from the serving + loop layers."""
-        return CosimConfig(
-            damping=self.loop.damping,
-            damping_decay=self.loop.damping_decay,
-            max_iterations=self.loop.max_iterations,
-            p99_tolerance=self.loop.p99_tolerance,
-            queue_limit=self.serving.queue_limit,
-            scheduler_window=self.loop.scheduler_window,
-            dram_workers=self.loop.dram_workers,
-            engine=self.serving.engine,
-            max_batch=self.serving.max_batch,
-            prefill_token_budget=self.serving.prefill_token_budget,
-            priority=self.serving.priority,
-            decode_marginal_fraction=self.serving.decode_marginal_fraction,
-        )
 
     # -- codec -------------------------------------------------------------
 

@@ -2,10 +2,12 @@
 
 :func:`build_components` turns the declarative config into the live
 objects the simulation layers consume (cost model, scheme, replay
-planner, legacy ``CosimConfig``); :func:`run_experiment` dispatches on
-``config.mode`` to the single-replica rate sweep or the cluster
-capacity grid.  Both CLI subcommands and programmatic callers go
-through here, so a config file reproduces a CLI run exactly.
+planner); :func:`run_experiment` dispatches on ``config.mode`` to the
+single-replica rate sweep or the cluster capacity grid, handing both
+the config's own ``serving`` and ``loop`` layers -- the one source of
+every engine and fixed-point knob.  Both CLI subcommands and
+programmatic callers go through here, so a config file reproduces a
+CLI run exactly.
 """
 
 from __future__ import annotations
@@ -14,16 +16,13 @@ from typing import Callable, Optional, Union
 
 from repro.cluster.sweep import ClusterSweepResult, run_cluster_sweep
 from repro.core.strategies import Scheme
-from repro.cosim.driver import CosimConfig
 from repro.cosim.sweep import SweepResult, run_load_sweep
 from repro.experiments.config import ExperimentConfig
 from repro.serving.simulator import CostModel
 
 
-def build_components(
-    config: ExperimentConfig,
-) -> tuple[CostModel, Scheme, object, CosimConfig]:
-    """(cost_model, scheme, planner, cosim_config) for one experiment."""
+def build_components(config: ExperimentConfig) -> tuple[CostModel, Scheme, object]:
+    """(cost_model, scheme, planner) for one experiment."""
     from repro.cosim.replay import ExpertReplayPlanner, SyntheticReplayPlanner
     from repro.workloads import WORKLOADS
 
@@ -104,7 +103,7 @@ def build_components(
             **planner_extra,
         )
 
-    return cost, scheme, planner, config.cosim_config()
+    return cost, scheme, planner
 
 
 def run_experiment(
@@ -124,7 +123,7 @@ def run_experiment(
     of the experiment's identity, so not config fields) and apply to
     cosim mode only.
     """
-    cost, scheme, planner, cosim_cfg = build_components(config)
+    cost, scheme, planner = build_components(config)
     slo = config.slo_p99_ms * 1e-3 if config.slo_p99_ms is not None else None
     traffic = config.traffic if config.traffic.active else None
     if config.mode == "cluster":
@@ -136,10 +135,8 @@ def run_experiment(
             cluster=config.cluster,
             n_requests=config.n_requests,
             seed=config.seed,
-            arrival=config.serving.arrival,
-            mean_prompt_tokens=config.serving.mean_prompt_tokens,
-            mean_decode_tokens=config.serving.mean_decode_tokens,
-            cosim_config=cosim_cfg,
+            serving=config.serving,
+            loop=config.loop,
             slo_p99_seconds=slo,
             on_point=on_point,
             traffic=traffic,
@@ -151,10 +148,8 @@ def run_experiment(
         list(config.rates),
         n_requests=config.n_requests,
         seed=config.seed,
-        arrival=config.serving.arrival,
-        mean_prompt_tokens=config.serving.mean_prompt_tokens,
-        mean_decode_tokens=config.serving.mean_decode_tokens,
-        cosim_config=cosim_cfg,
+        serving=config.serving,
+        loop=config.loop,
         workers=workers,
         checkpoint_path=checkpoint_path,
         resume=resume,

@@ -215,21 +215,20 @@ def _scenario_trace_bitflip(tmp: Path) -> str:
 def _scenario_sweep_interrupt_resume(tmp: Path) -> str:
     from repro.core.strategies import Scheme
     from repro.cosim import (
-        CosimConfig,
         ExpertReplayPlanner,
         SweepInterrupted,
         run_load_sweep,
         small_cosim_dram,
     )
+    from repro.experiments import LoopConfig, ServingConfig
     from repro.serving.simulator import CostModel
 
     rates = [2e4, 1e6, 4e6]
     kwargs = dict(
         n_requests=40,
         seed=1,
-        mean_prompt_tokens=20,
-        mean_decode_tokens=5,
-        cosim_config=CosimConfig(max_iterations=8),
+        serving=ServingConfig(mean_prompt_tokens=20, mean_decode_tokens=5),
+        loop=LoopConfig(max_iterations=8),
     )
 
     def make_inputs():

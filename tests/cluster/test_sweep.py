@@ -13,18 +13,18 @@ from repro.cluster import (
 )
 from repro.core.strategies import Scheme
 from repro.cosim import (
-    CosimConfig,
     ExpertReplayPlanner,
     run_load_sweep,
     small_cosim_dram,
 )
+from repro.experiments import LoopConfig, ServingConfig
 from repro.serving.simulator import CostModel
 
 RATES = [2e4, 1e6, 4e6]
 SWEEP_KWARGS = dict(
     n_requests=60, seed=1,
-    mean_prompt_tokens=20, mean_decode_tokens=5,
-    cosim_config=CosimConfig(max_iterations=16),
+    serving=ServingConfig(mean_prompt_tokens=20, mean_decode_tokens=5),
+    loop=LoopConfig(max_iterations=16),
 )
 
 
@@ -138,3 +138,32 @@ def test_validation(cost, planner):
         run_cluster_sweep(cost, Scheme.MD_LB, planner, [2.0, 1.0])
     with pytest.raises(ValueError, match="planner"):
         run_cluster_sweep(cost, Scheme.MD_LB, None, [1.0])
+
+
+def test_batching_cluster_sweep_records_batching_settings(cost, planner):
+    """A batching cluster sweep records the engine's admission knobs in
+    its provenance, exactly as the single-device sweep does."""
+    serving = ServingConfig(
+        engine="batching", mean_prompt_tokens=8, mean_decode_tokens=24,
+        max_batch=4, prefill_token_budget=512, priority="decode",
+        decode_marginal_fraction=0.25,
+    )
+    kwargs = dict(n_requests=10, seed=1, serving=serving,
+                  loop=LoopConfig(max_iterations=2))
+    cluster = ClusterConfig(replicas=(1,), devices_per_replica=1,
+                            policies=("replicated",))
+    result, _ = run_cluster_sweep(
+        cost, Scheme.MD_LB, planner, [2e4], cluster=cluster, **kwargs
+    )
+    single, _ = run_load_sweep(cost, Scheme.MD_LB, planner, [2e4], **kwargs)
+    batching_keys = (
+        "max_batch", "priority", "prefill_token_budget", "decode_marginal_fraction"
+    )
+    assert {k: result.config[k] for k in batching_keys} == {
+        "max_batch": 4, "priority": "decode", "prefill_token_budget": 512,
+        "decode_marginal_fraction": 0.25,
+    }
+    assert {k: result.config[k] for k in batching_keys} == {
+        k: single.config[k] for k in batching_keys
+    }
+    assert result.config["engine"] == "batching"

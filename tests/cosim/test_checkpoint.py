@@ -16,13 +16,13 @@ import pytest
 
 from repro.core.strategies import Scheme
 from repro.cosim import (
-    CosimConfig,
     ExpertReplayPlanner,
     SweepInterrupted,
     run_load_sweep,
     small_cosim_dram,
 )
 from repro.cosim.sweep import load_checkpoint
+from repro.experiments import LoopConfig, ServingConfig
 from repro.faults import interrupt_after
 from repro.serving.simulator import CostModel
 
@@ -43,9 +43,8 @@ def sweep_kwargs(**overrides):
     kwargs = dict(
         n_requests=40,
         seed=1,
-        mean_prompt_tokens=20,
-        mean_decode_tokens=5,
-        cosim_config=CosimConfig(max_iterations=8),
+        serving=ServingConfig(mean_prompt_tokens=20, mean_decode_tokens=5),
+        loop=LoopConfig(max_iterations=8),
     )
     kwargs.update(overrides)
     return kwargs

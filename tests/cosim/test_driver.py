@@ -11,12 +11,12 @@ import pytest
 
 from repro.core.strategies import Scheme
 from repro.cosim import (
-    CosimConfig,
     CosimDriver,
     ExpertReplayPlanner,
     SyntheticReplayPlanner,
     small_cosim_dram,
 )
+from repro.experiments import LoopConfig
 from repro.serving.simulator import CostModel
 from repro.serving.workload import RequestGenerator
 
@@ -41,7 +41,7 @@ def run_at(rate, cost, planner, n_requests=60, max_iterations=16):
     )
     driver = CosimDriver(
         cost, Scheme.MD_LB, planner,
-        CosimConfig(max_iterations=max_iterations),
+        loop=LoopConfig(max_iterations=max_iterations),
     )
     return driver.run(generator.generate(n_requests))
 
@@ -50,7 +50,7 @@ def test_converges_at_low_load_and_matches_open_loop(parts):
     cost, planner = parts
     result = run_at(LOW_RATE, cost, planner)
     assert result.converged
-    assert result.n_iterations <= CosimConfig().max_iterations
+    assert result.n_iterations <= LoopConfig().max_iterations
     open_p99 = result.open_loop.latency_percentile(99)
     closed_p99 = result.closed_loop.latency_percentile(99)
     # No contention at near-zero load: closed == open within 5%.
@@ -80,7 +80,7 @@ def test_iteration_records(parts):
     assert its[0].extra_seconds_per_token == 0.0
     assert its[0].p99_delta == float("inf")
     # The final iteration met the p99 tolerance.
-    assert its[-1].p99_delta <= CosimConfig().p99_tolerance
+    assert its[-1].p99_delta <= LoopConfig().p99_tolerance
     for it in its:
         assert it.completed > 0
         assert it.dram_total_cycles > 0
@@ -109,7 +109,7 @@ def test_isolation_baseline_is_contention_free(parts):
     generator = RequestGenerator(
         LOW_RATE, mean_prompt_tokens=20, mean_decode_tokens=5, seed=2
     )
-    driver = CosimDriver(cost, Scheme.MD_LB, planner, CosimConfig())
+    driver = CosimDriver(cost, Scheme.MD_LB, planner)
     from repro.serving.simulator import ServingSimulator
 
     serving = ServingSimulator(cost, Scheme.MD_LB).run(generator.generate(20))
@@ -119,21 +119,6 @@ def test_isolation_baseline_is_contention_free(parts):
     assert iso_a == iso_b
     assert set(iso_a) == set(trace.tokens_by_request)
     assert all(mk > 0 for mk in iso_a.values())
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        CosimConfig(damping=0.0)
-    with pytest.raises(ValueError):
-        CosimConfig(damping=1.5)
-    with pytest.raises(ValueError):
-        CosimConfig(damping_decay=-1)
-    with pytest.raises(ValueError):
-        CosimConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        CosimConfig(p99_tolerance=-0.1)
-    with pytest.raises(ValueError):
-        CosimConfig(queue_limit=0)
 
 
 def test_empty_requests_rejected(parts):
@@ -147,7 +132,7 @@ def test_driver_reuse_recalibrates_baselines(parts):
     different token counts -> different bursts) must not reuse the
     first run's isolation baselines."""
     cost, planner = parts
-    driver = CosimDriver(cost, Scheme.MD_LB, planner, CosimConfig())
+    driver = CosimDriver(cost, Scheme.MD_LB, planner)
     gen_a = RequestGenerator(LOW_RATE, mean_prompt_tokens=20,
                              mean_decode_tokens=5, seed=1)
     driver.run(gen_a.generate(10))
@@ -170,11 +155,11 @@ def test_dram_workers_bit_identical_loop(parts):
     )
     requests = generator.generate(40)
     serial = CosimDriver(
-        cost, Scheme.MD_LB, planner, CosimConfig(max_iterations=16)
+        cost, Scheme.MD_LB, planner, loop=LoopConfig(max_iterations=16)
     ).run(requests)
     pooled_driver = CosimDriver(
         cost, Scheme.MD_LB, planner,
-        CosimConfig(max_iterations=16, dram_workers=2),
+        loop=LoopConfig(max_iterations=16, dram_workers=2),
     )
     try:
         pooled = pooled_driver.run(requests)
@@ -197,7 +182,7 @@ def test_non_convergence_reports_best_residual_iterate(parts):
         cost, Scheme.MD_LB, planner,
         # tolerance 0: convergence is impossible short of an exact
         # fixed point, so the budget always runs out.
-        CosimConfig(max_iterations=4, p99_tolerance=0.0),
+        loop=LoopConfig(max_iterations=4, p99_tolerance=0.0),
     )
     result = driver.run(generator.generate(40))
     assert not result.converged

@@ -14,7 +14,6 @@ from repro.core.strategies import Scheme
 from repro.cosim import (
     PHASE_DECODE,
     PHASE_PREFILL,
-    CosimConfig,
     CosimDriver,
     ExpertReplayPlanner,
     SyntheticReplayPlanner,
@@ -23,6 +22,7 @@ from repro.cosim import (
     small_cosim_dram,
 )
 from repro.cosim.sweep import SweepPoint
+from repro.experiments import LoopConfig, ServingConfig
 from repro.serving.engine import BatchConfig, BatchingEngine, PhaseCostModel
 from repro.serving.simulator import CostModel, ServingSimulator
 from repro.serving.workload import RequestGenerator
@@ -57,7 +57,8 @@ def requests_at(rate, n=60, seed=1):
 def run_engine(cost, rate, engine, n=60, max_iterations=16):
     driver = CosimDriver(
         cost, Scheme.MD_LB, make_planner(),
-        CosimConfig(max_iterations=max_iterations, engine=engine),
+        serving=ServingConfig(engine=engine),
+        loop=LoopConfig(max_iterations=max_iterations),
     )
     try:
         return driver.run(requests_at(rate, n))
@@ -168,7 +169,8 @@ def test_synthetic_planner_batching_token_share_fallback(parts):
     )
     driver = CosimDriver(
         cost, Scheme.MD_LB, planner,
-        CosimConfig(max_iterations=8, engine="batching"),
+        serving=ServingConfig(engine="batching"),
+        loop=LoopConfig(max_iterations=8),
     )
     try:
         result = driver.run(requests_at(1e5, n=30))
@@ -187,8 +189,11 @@ def test_sweep_batching_engine_and_slo(parts):
     sweep, runs = run_load_sweep(
         cost, Scheme.MD_LB, make_planner(), rates,
         n_requests=40,
-        mean_prompt_tokens=MEAN_PROMPT, mean_decode_tokens=MEAN_DECODE,
-        cosim_config=CosimConfig(max_iterations=12, engine="batching"),
+        serving=ServingConfig(
+            engine="batching",
+            mean_prompt_tokens=MEAN_PROMPT, mean_decode_tokens=MEAN_DECODE,
+        ),
+        loop=LoopConfig(max_iterations=12),
     )
     assert sweep.engine == "batching"
     assert sweep.config["engine"] == "batching"
@@ -218,7 +223,9 @@ def test_serving_only_sweep_matches_simulator(parts):
     sweep, runs = run_load_sweep(
         cost, Scheme.MD_LB, None, rates,
         n_requests=50, seed=1,
-        mean_prompt_tokens=MEAN_PROMPT, mean_decode_tokens=MEAN_DECODE,
+        serving=ServingConfig(
+            mean_prompt_tokens=MEAN_PROMPT, mean_decode_tokens=MEAN_DECODE
+        ),
     )
     assert sweep.config["serving_only"]
     for rate, run in zip(rates, runs):

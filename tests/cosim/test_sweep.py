@@ -6,13 +6,13 @@ import pytest
 
 from repro.core.strategies import Scheme
 from repro.cosim import (
-    CosimConfig,
     ExpertReplayPlanner,
     SweepResult,
     format_sweep,
     run_load_sweep,
     small_cosim_dram,
 )
+from repro.experiments import LoopConfig, ServingConfig
 from repro.serving.simulator import CostModel
 
 RATES = [2e4, 1e6, 4e6]
@@ -29,8 +29,8 @@ def sweep():
     return run_load_sweep(
         cost, Scheme.MD_LB, planner, RATES,
         n_requests=60, seed=1,
-        mean_prompt_tokens=20, mean_decode_tokens=5,
-        cosim_config=CosimConfig(max_iterations=16),
+        serving=ServingConfig(mean_prompt_tokens=20, mean_decode_tokens=5),
+        loop=LoopConfig(max_iterations=16),
     )
 
 
@@ -113,8 +113,8 @@ def test_parallel_sweep_matches_serial(sweep):
     parallel_result, parallel_runs = run_load_sweep(
         cost, Scheme.MD_LB, planner, RATES,
         n_requests=60, seed=1,
-        mean_prompt_tokens=20, mean_decode_tokens=5,
-        cosim_config=CosimConfig(max_iterations=16),
+        serving=ServingConfig(mean_prompt_tokens=20, mean_decode_tokens=5),
+        loop=LoopConfig(max_iterations=16),
         workers=2,
     )
     assert parallel_result.points == serial_result.points

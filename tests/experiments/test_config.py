@@ -1,4 +1,7 @@
-"""Experiment-config API: round-trips, validation, presets, bridge."""
+"""Experiment-config API: round-trips, validation, presets, and the
+driver reading the serving and loop layers directly."""
+
+import json
 
 import pytest
 
@@ -69,27 +72,72 @@ def test_cost_synthetic_property():
     assert CostConfig(encode_us=0.002, decode_us=0.02).synthetic
 
 
-def test_cosim_config_bridge_defaults():
-    """A default ExperimentConfig flattens to a default CosimConfig --
-    the invariant keeping the config path bit-identical to the legacy
-    flag path."""
-    from repro.cosim import CosimConfig
+def test_config_validation():
+    with pytest.raises(ValueError):
+        LoopConfig(damping=0.0)
+    with pytest.raises(ValueError):
+        LoopConfig(damping=1.5)
+    with pytest.raises(ValueError):
+        LoopConfig(damping_decay=-1)
+    with pytest.raises(ValueError):
+        LoopConfig(max_iterations=0)
+    with pytest.raises(ValueError):
+        LoopConfig(p99_tolerance=-0.1)
+    with pytest.raises(ValueError):
+        ServingConfig(queue_limit=0)
 
-    assert ExperimentConfig().cosim_config() == CosimConfig()
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("loop", "damping", 0),
+        ("loop", "max_iterations", 0),
+        ("serving", "max_batch", 0),
+        ("serving", "decode_marginal_fraction", 2),
+    ],
+)
+def test_bad_config_file_fails_at_load(section, key, value, tmp_path):
+    """A bad knob in a config file is rejected when the file loads,
+    naming the field -- not later, inside build_components."""
+    data = ExperimentConfig().to_dict()
+    data[section][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig.load(path)
 
 
-def test_cosim_config_bridge_routes_layers():
-    config = ExperimentConfig(
-        serving=ServingConfig(engine="batching", queue_limit=512, max_batch=4),
-        loop=LoopConfig(damping=0.3, max_iterations=5, dram_workers=2),
+def test_driver_reads_loop_and_serving_layers():
+    """The driver, its estimator, its DRAM backend and its surcharge
+    search take every knob from the two config layers."""
+    from repro.core.strategies import Scheme
+    from repro.cosim import CosimDriver, SyntheticReplayPlanner, small_cosim_dram
+    from repro.cosim.driver import _SurchargeSearch
+    from repro.serving.engine import BatchConfig
+    from repro.serving.simulator import CostModel
+
+    cost = CostModel(encode_seconds_per_token=2e-9, decode_seconds_per_token=2e-8)
+    planner = SyntheticReplayPlanner(dram_config=small_cosim_dram(), seed=1)
+    serving = ServingConfig(
+        engine="batching", queue_limit=512, max_batch=4,
+        prefill_token_budget=256, priority="decode",
+        decode_marginal_fraction=0.25,
     )
-    bridge = config.cosim_config()
-    assert bridge.engine == "batching"
-    assert bridge.queue_limit == 512
-    assert bridge.max_batch == 4
-    assert bridge.damping == 0.3
-    assert bridge.max_iterations == 5
-    assert bridge.dram_workers == 2
+    loop = LoopConfig(damping=0.3, max_iterations=5, scheduler_window=32)
+    driver = CosimDriver(cost, Scheme.MD_LB, planner, serving=serving, loop=loop)
+    assert driver.serving is serving and driver.loop is loop
+    assert driver.backend.window == 32
+    assert driver.estimator.batch_config == BatchConfig(
+        max_batch=4, prefill_token_budget=256, priority="decode", queue_limit=512
+    )
+    assert driver.estimator.cost_model.decode_marginal_fraction == 0.25
+    assert _SurchargeSearch(driver.loop).update(0, 1.0) == 0.3
+
+    fifo = CosimDriver(cost, Scheme.MD_LB, planner)
+    assert fifo.serving == ServingConfig() and fifo.loop == LoopConfig()
+    assert fifo.estimator.queue_limit == ServingConfig().queue_limit
+    assert fifo.estimator.n_surcharges == 1
+    assert driver.estimator.n_surcharges == 2
 
 
 def test_replaced_is_functional_update():

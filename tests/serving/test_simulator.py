@@ -54,7 +54,8 @@ def test_queue_limit_rejects(cheap_model):
 
 def test_latency_grows_with_load(cheap_model):
     """The hockey stick: near-saturation latency blows up."""
-    from repro.cosim import CosimConfig, run_load_sweep
+    from repro.cosim import run_load_sweep
+    from repro.experiments import ServingConfig
 
     service = cheap_model.service_time(req(0, 0, prompt=512, decode=32))
     capacity = 1.0 / service
@@ -65,7 +66,7 @@ def test_latency_grows_with_load(cheap_model):
         cheap_model, Scheme.MD_LB, None,
         [0.2 * capacity, 0.95 * capacity],
         n_requests=300,
-        cosim_config=CosimConfig(queue_limit=512),
+        serving=ServingConfig(queue_limit=512),
     )
     low, high = runs[0].closed_loop, runs[1].closed_loop
     assert high.mean_latency > 1.5 * low.mean_latency

@@ -50,7 +50,7 @@ def test_mix_zero_never_moves():
 
 
 def _drift_planner():
-    _, _, planner, _ = build_components(get_preset("popularity_drift"))
+    _, _, planner = build_components(get_preset("popularity_drift"))
     assert isinstance(planner, DriftingReplayPlanner)
     return planner
 

@@ -3,9 +3,8 @@
 import json
 
 from repro.core.strategies import Scheme
-from repro.cosim.driver import CosimConfig
 from repro.cosim.sweep import SweepResult, run_load_sweep
-from repro.experiments.config import TenantConfig, TrafficConfig
+from repro.experiments.config import ServingConfig, TenantConfig, TrafficConfig
 from repro.serving.simulator import CostModel
 
 _COST = CostModel(
@@ -27,9 +26,7 @@ def _sweep(traffic):
         [1e5, 1e6],
         n_requests=50,
         seed=2,
-        mean_prompt_tokens=8,
-        mean_decode_tokens=24,
-        cosim_config=CosimConfig(),
+        serving=ServingConfig(mean_prompt_tokens=8, mean_decode_tokens=24),
         traffic=traffic,
     )
 
