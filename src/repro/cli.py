@@ -17,6 +17,10 @@ Commands:
                      offered load; ``cosim sweep`` drives the loop
                      across a rate grid (the tail-latency hockey
                      stick) and writes a versioned JSON result.
+- ``cluster``        ``cluster sweep``: the replica x sharding-policy
+                     capacity grid, through the same sweep handler
+                     and flag table (``_SWEEP_FLAGS``) as ``cosim
+                     sweep``.
 - ``traffic``        Production-traffic subsystem: ``traffic list``
                      and ``traffic describe`` browse the named
                      scenario zoo (each runnable via ``--preset``),
@@ -33,6 +37,8 @@ from typing import Optional, Sequence
 from repro.analysis.area_power import AreaPowerModel
 from repro.analysis.characterize import compute_vs_transfer, param_scaling
 from repro.analysis.report import format_table
+from repro.cluster.balancer import BALANCERS
+from repro.cluster.sharding import SHARDING_POLICIES
 from repro.core.runtime import InferenceConfig, MoNDERuntime
 from repro.core.strategies import Scheme
 from repro.workloads import WORKLOADS
@@ -336,10 +342,121 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled traffic subcommand {args.traffic_command!r}")
 
 
-def _parse_rates(spec: Optional[str]) -> Optional[tuple[float, ...]]:
-    if spec is None:
-        return None
-    return tuple(sorted(float(r) for r in spec.split(",") if r.strip()))
+def _csv(cast):
+    return lambda spec: tuple(cast(x.strip()) for x in spec.split(",") if x.strip())
+
+
+#: Every flag that sets an ExperimentConfig field, by the subcommands
+#: that take it: "all" (`cosim` and both sweeps), "sweep" (both sweeps)
+#: or "cluster" (`cluster sweep`).  A row is (flag, field, argparse
+#: kwargs); the field is "layer.name" or a top-level name, and the
+#: kwargs' `type` or `const` turns the typed text into its value.
+#: build_parser adds the flags from this table and _experiment_config
+#: applies them from it.
+_SWEEP_FLAGS = {
+    "all": [
+        ("--scheme", "scheme", dict(choices=[s.value for s in Scheme])),
+        ("--workload", "cost.workload", dict(
+            choices=sorted(WORKLOADS),
+            help="model/profile for the runtime cost model and the expert "
+                 "replay geometry (default: flores)")),
+        ("--arrival", "serving.arrival", dict(
+            choices=("poisson", "batched", "onoff"),
+            help="serving-level arrival process (default: poisson)")),
+        ("--requests", "n_requests", dict(
+            type=int, help="serving requests per run (default: 100)")),
+        ("--seed", "seed", dict(type=int, help="default: 1")),
+        ("--mean-prompt-tokens", "serving.mean_prompt_tokens",
+         dict(type=int, help="default: 512")),
+        ("--mean-decode-tokens", "serving.mean_decode_tokens",
+         dict(type=int, help="default: 32")),
+        ("--encode-us", "cost.encode_us", dict(
+            type=float, help="synthetic encode cost (us/token); with "
+                             "--decode-us, skips the runtime cost model")),
+        ("--decode-us", "cost.decode_us", dict(type=float)),
+        ("--bytes-per-token", "replay.bytes_per_token",
+         dict(type=int, help="default: 2048")),
+        ("--max-blocks", "replay.max_blocks_per_request", dict(
+            type=int, help="cap on 64B blocks per request burst "
+                           "(default: 4096)")),
+        ("--damping", "loop.damping", dict(type=float, help="default: 0.6")),
+        ("--max-iters", "loop.max_iterations", dict(type=int, help="default: 8")),
+        ("--tol", "loop.p99_tolerance", dict(
+            type=float, help="relative p99 convergence tolerance "
+                             "(default: 0.02)")),
+        ("--small-dram", "replay.dram", dict(
+            action="store_const", const="small",
+            help="use the small test DRAM config instead of the paper's "
+                 "LPDDR5X-8533")),
+        ("--synthetic-regions", "replay.synthetic", dict(
+            action="store_true",
+            help="seeded synthetic weight regions instead of expert-faithful "
+                 "replay")),
+        ("--dram-workers", "loop.dram_workers", dict(
+            type=int, metavar="N",
+            help="fan each DRAM replay's per-channel drains over an N-worker "
+                 "pool (bit-identical stats; default: serial)")),
+        ("--engine", "serving.engine", dict(
+            choices=("fifo", "batching"),
+            help="serving engine: one-request-at-a-time fifo (default) or "
+                 "phase-aware continuous batching")),
+        ("--max-batch", "serving.max_batch", dict(
+            type=int, metavar="B",
+            help="batching: in-flight decode slots per step (default: 8)")),
+        ("--prefill-budget", "serving.prefill_token_budget", dict(
+            type=int, metavar="TOKENS",
+            help="batching: prompt-token budget admitted per step "
+                 "(default: 4096)")),
+        ("--priority", "serving.priority", dict(
+            choices=("prefill", "decode"),
+            help="batching: admit new prefills alongside decodes (prefill, "
+                 "default) or only when idle (decode)")),
+        ("--decode-marginal", "serving.decode_marginal_fraction", dict(
+            type=float, metavar="F",
+            help="batching: marginal fraction of the per-token decode cost "
+                 "that scales with batch size; the rest is amortized weight "
+                 "streaming (default: 0.5)")),
+        ("--slo-p99-ms", "slo_p99_ms", dict(
+            type=float, metavar="MS",
+            help="sweep: closed-loop p99 SLO threshold for the capacity "
+                 "answer (default: auto, 5x the uncongested p99)")),
+    ],
+    "sweep": [
+        ("--rates", "rates", dict(
+            type=lambda spec: tuple(sorted(_csv(float)(spec))),
+            help="comma-separated requests/second grid (default: "
+                 "0.5,1.0,2.0,4.0, or the preset/config grid)")),
+    ],
+    "cluster": [
+        ("--replicas", "cluster.replicas", dict(
+            type=_csv(int),
+            help="comma-separated replica counts, ascending (default: 1,2)")),
+        ("--devices-per-replica", "cluster.devices_per_replica", dict(
+            type=int, metavar="N",
+            help="NDP devices each replica shards its experts across "
+                 "(default: 1)")),
+        ("--policies", "cluster.policies", dict(
+            type=_csv(str),
+            help="comma-separated sharding policies from "
+                 f"{', '.join(SHARDING_POLICIES)} (default: replicated)")),
+        ("--balancer", "cluster.balancer", dict(
+            choices=BALANCERS,
+            help="request placement across replicas (default: round_robin)")),
+        ("--hot-fraction", "cluster.hot_fraction", dict(
+            type=float, metavar="F",
+            help="hot_cold: fraction of each layer's experts kept replicated "
+                 "(default: 0.125)")),
+        ("--activation-bytes", "cluster.activation_bytes_per_token", dict(
+            type=int, metavar="B",
+            help="activation payload per token shipped over PCIe for "
+                 "remote-expert accesses (default: 0 = transfers free)")),
+    ],
+}
+
+
+def _add_sweep_flags(parser: argparse.ArgumentParser, scope: str) -> None:
+    for flag, _field, kwargs in _SWEEP_FLAGS[scope]:
+        parser.add_argument(flag, default=argparse.SUPPRESS, **kwargs)
 
 
 def _experiment_config(args: argparse.Namespace):
@@ -347,14 +464,14 @@ def _experiment_config(args: argparse.Namespace):
 
     The base is a ``--config`` JSON file, a ``--preset`` name
     (``--smoke`` is ``--preset smoke``), or the default config; any
-    flag the user actually typed then overrides its field (the shared
-    cosim options default to SUPPRESS, so only typed flags are set).
+    flag the user actually typed then overrides its field, as mapped
+    by ``_SWEEP_FLAGS`` (the flags default to SUPPRESS, so only
+    typed flags are set).
     """
     from dataclasses import replace
 
     from repro.experiments import ExperimentConfig, get_preset
 
-    provided = vars(args)
     preset = getattr(args, "preset", None)
     config_path = getattr(args, "config", None)
     if getattr(args, "smoke", False):
@@ -369,56 +486,19 @@ def _experiment_config(args: argparse.Namespace):
         base = get_preset(preset)
     else:
         base = ExperimentConfig()
-    cost, replay = base.cost, base.replay
-    serving, loop = base.serving, base.loop
-    if "workload" in provided:
-        cost = replace(cost, workload=args.workload)
-    if "encode_us" in provided or "decode_us" in provided:
-        cost = replace(
-            cost,
-            encode_us=getattr(args, "encode_us", None),
-            decode_us=getattr(args, "decode_us", None),
-        )
-    if "small_dram" in provided:
-        replay = replace(replay, dram="small")
-    if "synthetic_regions" in provided:
-        replay = replace(replay, synthetic=True)
-    if "bytes_per_token" in provided:
-        replay = replace(replay, bytes_per_token=args.bytes_per_token)
-    if "max_blocks" in provided:
-        replay = replace(replay, max_blocks_per_request=args.max_blocks)
-    for flag, fname in (
-        ("arrival", "arrival"),
-        ("mean_prompt_tokens", "mean_prompt_tokens"),
-        ("mean_decode_tokens", "mean_decode_tokens"),
-        ("engine", "engine"),
-        ("max_batch", "max_batch"),
-        ("prefill_budget", "prefill_token_budget"),
-        ("priority", "priority"),
-        ("decode_marginal", "decode_marginal_fraction"),
-    ):
-        if flag in provided:
-            serving = replace(serving, **{fname: getattr(args, flag)})
-    for flag, fname in (
-        ("damping", "damping"),
-        ("max_iters", "max_iterations"),
-        ("tol", "p99_tolerance"),
-        ("dram_workers", "dram_workers"),
-    ):
-        if flag in provided:
-            loop = replace(loop, **{fname: getattr(args, flag)})
-    return replace(
-        base,
-        scheme=args.scheme if "scheme" in provided else base.scheme,
-        seed=args.seed if "seed" in provided else base.seed,
-        n_requests=args.requests if "requests" in provided else base.n_requests,
-        slo_p99_ms=args.slo_p99_ms if "slo_p99_ms" in provided else base.slo_p99_ms,
-        rates=_parse_rates(getattr(args, "rates", None)) or base.rates,
-        cost=cost,
-        replay=replay,
-        serving=serving,
-        loop=loop,
-    )
+    overrides: dict = {}
+    for flags in _SWEEP_FLAGS.values():
+        for flag, path, _kwargs in flags:
+            value = getattr(args, flag[2:].replace("-", "_"), None)
+            if value is not None:
+                layer, _, field = path.rpartition(".")
+                overrides.setdefault(layer, {})[field] = value
+    top = overrides.pop("", {})
+    layers = {
+        layer: replace(getattr(base, layer), **fields)
+        for layer, fields in overrides.items()
+    }
+    return replace(base, **top, **layers)
 
 
 def _print_traffic_columns(sweep) -> None:
@@ -480,109 +560,28 @@ def _cosim_export(trace, path: str) -> None:
 
 
 def _cmd_cosim(args: argparse.Namespace) -> int:
-    from repro.cosim import CosimDriver, format_sweep
-
+    if args.cosim_command == "sweep":
+        return _cmd_sweep(args)
     export_trace = getattr(args, "export_trace", None)
     try:
-        exp = _experiment_config(args)
-
-        if args.cosim_command == "sweep":
-            from repro.cosim import SWEEP_CKPT_SUFFIX, SweepInterrupted
-            from repro.experiments import run_experiment
-
-            rates = list(exp.rates)
-            ckpt = args.checkpoint or (args.output + SWEEP_CKPT_SUFFIX)
-            on_point = None
-            if args.interrupt_after is not None:
-                from repro.faults import interrupt_after
-
-                on_point = interrupt_after(args.interrupt_after)
-            try:
-                sweep, runs = run_experiment(
-                    exp,
-                    workers=args.workers,
-                    checkpoint_path=ckpt,
-                    resume=args.resume,
-                    on_point=on_point,
-                )
-            except SweepInterrupted as exc:
-                print(
-                    f"repro cosim sweep: interrupted ({exc}); completed "
-                    f"points are checkpointed in {ckpt} -- rerun the same "
-                    "command with --resume to continue",
-                    file=sys.stderr,
-                )
-                return 130
-            print(format_sweep(sweep))
-            if sweep.slo_p99_seconds > 0.0:
-                source = "auto, 5x uncongested p99" if sweep.slo_auto else "--slo-p99-ms"
-                if sweep.slo_capacity_rps > 0.0:
-                    print(
-                        f"SLO capacity ({sweep.engine}): "
-                        f"{sweep.slo_capacity_rps:.3g} req/s at p99 <= "
-                        f"{sweep.slo_p99_seconds * 1e3:.3g} ms ({source})"
-                    )
-                else:
-                    print(
-                        f"SLO capacity ({sweep.engine}): none -- p99 exceeds "
-                        f"{sweep.slo_p99_seconds * 1e3:.3g} ms ({source}) at "
-                        "every grid point"
-                    )
-            _print_traffic_columns(sweep)
-            sweep.save(args.output)
-            print(f"wrote {args.output}")
-            if export_trace is not None:
-                exported = runs[-1]
-                export_rate = rates[-1]
-                if args.export_rate is not None:
-                    by_rate = dict(zip(rates, runs))
-                    if args.export_rate not in by_rate:
-                        raise ValueError(
-                            f"--export-rate {args.export_rate} not in the grid {rates}"
-                        )
-                    exported = by_rate[args.export_rate]
-                    export_rate = args.export_rate
-                if exported is None or exported.final_trace is None:
-                    # Checkpoint-restored and failed points carry no
-                    # live run (their trace was never rebuilt).
-                    print(
-                        f"repro cosim sweep: no trace to export for rate "
-                        f"{export_rate:g} (point was restored from a "
-                        "checkpoint or failed); rerun without --resume to "
-                        "regenerate it",
-                        file=sys.stderr,
-                    )
-                else:
-                    _cosim_export(exported.final_trace, export_trace)
-            failed = [p for p in sweep.points if p.failed]
-            for p in failed:
-                print(
-                    f"repro cosim sweep: rate {p.rate:g} FAILED: {p.error}",
-                    file=sys.stderr,
-                )
-            if not sweep.points[0].converged:
-                best = sweep.points[0].residual_seconds_per_token
-                print(
-                    "repro cosim sweep: lowest offered load failed to converge "
-                    f"within {exp.loop.max_iterations} iterations "
-                    f"(best-iterate residual {best * 1e9:.3f} ns/token)",
-                    file=sys.stderr,
-                )
-                return 1
-            return 1 if failed else 0
-
-        from repro.cosim.sweep import point_requests
+        from repro.cosim.sweep import _run_rate_point
         from repro.experiments import build_components
 
+        exp = _experiment_config(args)
         cost, scheme, planner = build_components(exp)
-        requests = point_requests(args.rate, exp.n_requests, exp.seed, exp.serving)
-        driver = CosimDriver(
-            cost, scheme, planner, serving=exp.serving, loop=exp.loop
+        # The sweep's own point function, so one rate runs exactly as
+        # that rate would inside `cosim sweep`.
+        _point, result = _run_rate_point(
+            args.rate,
+            cost_model=cost,
+            scheme=scheme,
+            planner=planner,
+            serving=exp.serving,
+            loop=exp.loop,
+            n_requests=exp.n_requests,
+            seed=exp.seed,
+            traffic=exp.traffic if exp.traffic.active else None,
         )
-        try:
-            result = driver.run(requests)
-        finally:
-            driver.close()
     except (OSError, ValueError) as exc:
         print(f"repro cosim: {exc}", file=sys.stderr)
         return 2
@@ -625,71 +624,127 @@ def _cmd_cosim(args: argparse.Namespace) -> int:
     return 0 if result.converged else 1
 
 
-def _cmd_cluster(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
-    from repro.cluster import format_cluster_sweep
-    from repro.experiments import run_experiment
-
-    try:
-        exp = _experiment_config(args)
-        cluster = exp.cluster
-        overrides = {}
-        if args.replicas is not None:
-            overrides["replicas"] = tuple(
-                int(r) for r in args.replicas.split(",") if r.strip()
-            )
-        if args.devices_per_replica is not None:
-            overrides["devices_per_replica"] = args.devices_per_replica
-        if args.policies is not None:
-            overrides["policies"] = tuple(
-                p.strip() for p in args.policies.split(",") if p.strip()
-            )
-        if args.balancer is not None:
-            overrides["balancer"] = args.balancer
-        if args.hot_fraction is not None:
-            overrides["hot_fraction"] = args.hot_fraction
-        if args.activation_bytes is not None:
-            overrides["activation_bytes_per_token"] = args.activation_bytes
-        if overrides:
-            cluster = replace(cluster, **overrides)
-        exp = exp.replaced(mode="cluster", cluster=cluster)
-        result, _runs = run_experiment(exp)
-    except (OSError, ValueError) as exc:
-        print(f"repro cluster sweep: {exc}", file=sys.stderr)
-        return 2
-
-    print(format_cluster_sweep(result))
-    if result.slo_p99_seconds > 0.0:
-        source = "auto, 5x uncongested p99" if result.slo_auto else "--slo-p99-ms"
+def _export_sweep_trace(args: argparse.Namespace, rates, runs) -> None:
+    """``cosim sweep --export-trace``: write one grid point's converged
+    DRAM trace (``--export-rate``, default the highest rate)."""
+    rate = rates[-1] if args.export_rate is None else args.export_rate
+    if rate not in rates:
+        raise ValueError(f"--export-rate {rate} not in the grid {list(rates)}")
+    run = runs[list(rates).index(rate)]
+    if run is None or run.final_trace is None:
+        # Checkpoint-restored and failed points carry no live run
+        # (their trace was never rebuilt).
         print(
-            f"SLO threshold: p99 <= {result.slo_p99_seconds * 1e3:.3g} ms "
-            f"({source})"
-        )
-        top_rate = exp.rates[-1]
-        devices = result.devices_for_load(top_rate)
-        if devices is not None:
-            print(
-                f"devices for {top_rate:g} req/s within SLO: {devices} "
-                f"({result.cluster.devices_per_replica} per replica)"
-            )
-        else:
-            print(
-                f"devices for {top_rate:g} req/s within SLO: none -- no "
-                "swept fleet size sustains it"
-            )
-    result.save(args.output)
-    print(f"wrote {args.output}")
-    failed = [
-        (c, p) for c in result.curves for p in c.points if p.failed
-    ]
-    for c, p in failed:
-        print(
-            f"repro cluster sweep: replicas={c.replicas} policy={c.policy} "
-            f"rate {p.rate:g} FAILED: {p.error}",
+            f"repro cosim sweep: no trace to export for rate {rate:g} (point "
+            "was restored from a checkpoint or failed); rerun without "
+            "--resume to regenerate it",
             file=sys.stderr,
         )
-    return 1 if failed else 0
+    else:
+        _cosim_export(run.final_trace, args.export_trace)
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    """``repro cosim sweep`` and ``repro cluster sweep``."""
+    from repro.cosim import SWEEP_CKPT_SUFFIX, SweepInterrupted
+    from repro.experiments import run_experiment
+
+    cluster = args.command == "cluster"
+    prog = f"repro {args.command} sweep"
+    ckpt = args.checkpoint or (args.output + SWEEP_CKPT_SUFFIX)
+    try:
+        exp = _experiment_config(args)
+        if cluster:
+            exp = exp.replaced(mode="cluster")
+        elif exp.mode == "cluster":
+            raise ValueError(
+                "the base config is a cluster experiment; run it with "
+                "repro cluster sweep"
+            )
+        on_point = None
+        if args.interrupt_after is not None:
+            from repro.faults import interrupt_after
+
+            on_point = interrupt_after(args.interrupt_after)
+        try:
+            result, runs = run_experiment(
+                exp,
+                workers=args.workers,
+                checkpoint_path=ckpt,
+                resume=args.resume,
+                on_point=on_point,
+            )
+        except SweepInterrupted as exc:
+            print(
+                f"{prog}: interrupted ({exc}); completed points are "
+                f"checkpointed in {ckpt} -- rerun the same command with "
+                "--resume to continue",
+                file=sys.stderr,
+            )
+            return 130
+        if cluster:
+            from repro.cluster import format_cluster_sweep
+
+            print(format_cluster_sweep(result))
+            curves = [
+                (f"replicas={c.replicas} policy={c.policy} ", c.points)
+                for c in result.curves
+            ]
+        else:
+            from repro.cosim import format_sweep
+
+            print(format_sweep(result))
+            curves = [("", result.points)]
+        if result.slo_p99_seconds > 0.0:
+            source = "auto, 5x uncongested p99" if result.slo_auto else "--slo-p99-ms"
+            print(
+                f"SLO threshold: p99 <= {result.slo_p99_seconds * 1e3:.3g} ms "
+                f"({source})"
+            )
+            if cluster:
+                top_rate = exp.rates[-1]
+                devices = result.devices_for_load(top_rate)
+                answer = (
+                    "none -- no swept fleet size sustains it"
+                    if devices is None
+                    else f"{devices} ({result.cluster.devices_per_replica} per replica)"
+                )
+                print(f"devices for {top_rate:g} req/s within SLO: {answer}")
+            else:
+                answer = (
+                    f"{result.slo_capacity_rps:.3g} req/s"
+                    if result.slo_capacity_rps > 0.0
+                    else "none -- p99 exceeds the threshold at every grid point"
+                )
+                print(f"SLO capacity ({result.engine}): {answer}")
+        if not cluster:
+            _print_traffic_columns(result)
+        result.save(args.output)
+        print(f"wrote {args.output}")
+        if getattr(args, "export_trace", None) is not None:
+            _export_sweep_trace(args, exp.rates, runs)
+    except (OSError, ValueError) as exc:
+        print(f"{prog}: {exc}", file=sys.stderr)
+        return 2
+
+    status = 0
+    for label, points in curves:
+        for p in points:
+            if p.failed:
+                print(f"{prog}: {label}rate {p.rate:g} FAILED: {p.error}",
+                      file=sys.stderr)
+                status = 1
+        lowest = points[0]
+        if not (lowest.converged or lowest.failed):
+            print(
+                f"{prog}: {label}lowest offered load failed to converge "
+                f"within {exp.loop.max_iterations} iterations (best-iterate "
+                f"residual {lowest.residual_seconds_per_token * 1e9:.3f} "
+                "ns/token)",
+                file=sys.stderr,
+            )
+            status = 1
+    return status
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -818,89 +873,32 @@ def build_parser() -> argparse.ArgumentParser:
                          help="address-map against the small test DRAM "
                               "config instead of LPDDR5X-8533")
 
-    # Shared options appear on both `cosim` and `cosim sweep`.  All
-    # defaults are SUPPRESS (a flag the user did not type leaves its
-    # ExperimentConfig field alone): the sweep subparser shares the
-    # namespace with its parent, so a real default here would silently
-    # overwrite a value the user passed before the `sweep` token.
+    # The config flags (_SWEEP_FLAGS) appear on `cosim` and on both
+    # sweeps.  Every one defaults to SUPPRESS (a flag the user did not
+    # type leaves its ExperimentConfig field alone): the sweep
+    # subparser shares the namespace with its parent, so a real
+    # default here would silently overwrite a value the user passed
+    # before the `sweep` token.
     supp = argparse.SUPPRESS
-    cosim_common = argparse.ArgumentParser(add_help=False, argument_default=supp)
-    cosim_common.add_argument("--scheme", choices=[s.value for s in Scheme])
-    cosim_common.add_argument("--workload", choices=sorted(WORKLOADS),
-                              help="model/profile for the runtime cost model "
-                                   "and the expert replay geometry "
-                                   "(default: flores)")
-    cosim_common.add_argument("--arrival", choices=("poisson", "batched", "onoff"),
-                              help="serving-level arrival process "
-                                   "(default: poisson)")
-    cosim_common.add_argument("--requests", type=int,
-                              help="serving requests per run (default: 100)")
-    cosim_common.add_argument("--seed", type=int, help="default: 1")
-    cosim_common.add_argument("--mean-prompt-tokens", type=int,
-                              help="default: 512")
-    cosim_common.add_argument("--mean-decode-tokens", type=int,
-                              help="default: 32")
-    cosim_common.add_argument("--encode-us", type=float,
-                              help="synthetic encode cost (us/token); with "
-                                   "--decode-us, skips the runtime cost model")
-    cosim_common.add_argument("--decode-us", type=float)
-    cosim_common.add_argument("--bytes-per-token", type=int,
-                              help="default: 2048")
-    cosim_common.add_argument("--max-blocks", type=int,
-                              help="cap on 64B blocks per request burst "
-                                   "(default: 4096)")
-    cosim_common.add_argument("--damping", type=float, help="default: 0.6")
-    cosim_common.add_argument("--max-iters", type=int, help="default: 8")
-    cosim_common.add_argument("--tol", type=float,
-                              help="relative p99 convergence tolerance "
-                                   "(default: 0.02)")
-    cosim_common.add_argument("--small-dram", action="store_true",
-                              help="use the small test DRAM config instead "
-                                   "of the paper's LPDDR5X-8533")
-    cosim_common.add_argument("--synthetic-regions", action="store_true",
-                              help="seeded synthetic weight regions instead "
-                                   "of expert-faithful replay")
+    common = argparse.ArgumentParser(add_help=False, argument_default=supp)
+    _add_sweep_flags(common, "all")
+    from repro.experiments import PRESET_NAMES
+
+    common.add_argument("--preset", choices=PRESET_NAMES,
+                        help="named experiment preset as the base "
+                             "config; explicit flags override "
+                             "individual fields")
+    common.add_argument("--config", metavar="PATH.json",
+                        help="experiment config file "
+                             "(repro.experiments.ExperimentConfig "
+                             "JSON) as the base; explicit flags "
+                             "override individual fields")
+    cosim_common = argparse.ArgumentParser(
+        add_help=False, parents=[common], argument_default=supp
+    )
     cosim_common.add_argument("--export-trace", metavar="PATH.dramtrace",
                               help="export the converged iteration's DRAM "
                                    "request stream")
-    cosim_common.add_argument("--dram-workers", type=int, metavar="N",
-                              help="fan each DRAM replay's per-channel "
-                                   "drains over an N-worker pool "
-                                   "(bit-identical stats; default: serial)")
-    cosim_common.add_argument("--engine", choices=("fifo", "batching"),
-                              help="serving engine: one-request-at-a-time "
-                                   "fifo (default) or phase-aware "
-                                   "continuous batching")
-    cosim_common.add_argument("--max-batch", type=int, metavar="B",
-                              help="batching: in-flight decode slots per "
-                                   "step (default: 8)")
-    cosim_common.add_argument("--prefill-budget", type=int, metavar="TOKENS",
-                              help="batching: prompt-token budget admitted "
-                                   "per step (default: 4096)")
-    cosim_common.add_argument("--priority", choices=("prefill", "decode"),
-                              help="batching: admit new prefills alongside "
-                                   "decodes (prefill, default) or only "
-                                   "when idle (decode)")
-    cosim_common.add_argument("--decode-marginal", type=float, metavar="F",
-                              help="batching: marginal fraction of the "
-                                   "per-token decode cost that scales with "
-                                   "batch size; the rest is amortized "
-                                   "weight streaming (default: 0.5)")
-    cosim_common.add_argument("--slo-p99-ms", type=float, metavar="MS",
-                              help="sweep: closed-loop p99 SLO threshold "
-                                   "for the capacity answer (default: "
-                                   "auto, 5x the uncongested p99)")
-    from repro.experiments import PRESET_NAMES
-
-    cosim_common.add_argument("--preset", choices=PRESET_NAMES,
-                              help="named experiment preset as the base "
-                                   "config; explicit flags override "
-                                   "individual fields")
-    cosim_common.add_argument("--config", metavar="PATH.json",
-                              help="experiment config file "
-                                   "(repro.experiments.ExperimentConfig "
-                                   "JSON) as the base; explicit flags "
-                                   "override individual fields")
 
     cosim = sub.add_parser(
         "cosim", parents=[cosim_common],
@@ -908,19 +906,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cosim.add_argument("--rate", type=float, default=2.0,
                        help="offered load (requests/second)")
-    cosim_sub = cosim.add_subparsers(dest="cosim_command")
-    cosim_sweep = cosim_sub.add_parser(
+    cosim_sweep = cosim.add_subparsers(dest="cosim_command").add_parser(
         "sweep", parents=[cosim_common],
         help="drive the loop across an offered-load grid",
     )
-    cosim_sweep.add_argument("--rates", default=None,
-                             help="comma-separated requests/second grid "
-                                  "(default: 0.5,1.0,2.0,4.0, or the "
-                                  "preset/config grid)")
-    cosim_sweep.add_argument("--workers", type=int, default=0, metavar="N",
-                             help="run independent rate-grid points over an "
-                                  "N-worker process pool (bit-identical to "
-                                  "the serial sweep; default: serial)")
     cosim_sweep.add_argument("--smoke", action="store_true",
                              help="shorthand for --preset smoke (CI-sized: "
                                   "synthetic costs, small DRAM); like any "
@@ -929,63 +918,36 @@ def build_parser() -> argparse.ArgumentParser:
     cosim_sweep.add_argument("--export-rate", type=float, default=None,
                              help="grid rate whose converged trace "
                                   "--export-trace writes (default: highest)")
-    cosim_sweep.add_argument("--output", default="cosim_sweep.json")
-    cosim_sweep.add_argument("--checkpoint", default=None, metavar="PATH",
-                             help="durable per-point checkpoint file "
-                                  "(default: <output>.sweep.ckpt)")
-    cosim_sweep.add_argument("--resume", action="store_true",
-                             help="skip rate points already recorded in the "
-                                  "checkpoint (bit-identical to an "
-                                  "uninterrupted sweep)")
-    cosim_sweep.add_argument("--interrupt-after", type=int, default=None,
-                             metavar="N",
-                             help="fault injection: abort the sweep after N "
-                                  "completed points (exercises the "
-                                  "checkpoint/--resume path)")
-
-    from repro.cluster.balancer import BALANCERS
-    from repro.cluster.sharding import SHARDING_POLICIES
-
     cluster = sub.add_parser(
         "cluster",
         help="cluster-scale sharded serving simulation",
     )
     cluster_sub = cluster.add_subparsers(dest="cluster_command", required=True)
     cluster_sweep = cluster_sub.add_parser(
-        "sweep", parents=[cosim_common],
+        "sweep", parents=[common],
         help="replica-count x sharding-policy capacity curves "
              "(how many NDP devices serve offered load R at p99 <= X)",
     )
-    cluster_sweep.add_argument("--rates", default=None,
-                               help="comma-separated requests/second grid "
-                                    "(default: 0.5,1.0,2.0,4.0, or the "
-                                    "preset/config grid)")
-    cluster_sweep.add_argument("--replicas", default=None,
-                               help="comma-separated replica counts, "
-                                    "ascending (default: 1,2)")
-    cluster_sweep.add_argument("--devices-per-replica", type=int,
-                               default=None, metavar="N",
-                               help="NDP devices each replica shards its "
-                                    "experts across (default: 1)")
-    cluster_sweep.add_argument("--policies", default=None,
-                               help="comma-separated sharding policies "
-                                    f"from {', '.join(SHARDING_POLICIES)} "
-                                    "(default: replicated)")
-    cluster_sweep.add_argument("--balancer", choices=BALANCERS,
-                               default=None,
-                               help="request placement across replicas "
-                                    "(default: round_robin)")
-    cluster_sweep.add_argument("--hot-fraction", type=float, default=None,
-                               metavar="F",
-                               help="hot_cold: fraction of each layer's "
-                                    "experts kept replicated "
-                                    "(default: 0.125)")
-    cluster_sweep.add_argument("--activation-bytes", type=int, default=None,
-                               metavar="B",
-                               help="activation payload per token shipped "
-                                    "over PCIe for remote-expert accesses "
-                                    "(default: 0 = transfers free)")
-    cluster_sweep.add_argument("--output", default="cluster_sweep.json")
+    _add_sweep_flags(cluster_sweep, "cluster")
+    for name, sweep in (("cosim", cosim_sweep), ("cluster", cluster_sweep)):
+        _add_sweep_flags(sweep, "sweep")
+        sweep.add_argument("--workers", type=int, default=0, metavar="N",
+                           help="run independent rate-grid points over an "
+                                "N-worker process pool (bit-identical to "
+                                "the serial sweep; default: serial)")
+        sweep.add_argument("--output", default=f"{name}_sweep.json")
+        sweep.add_argument("--checkpoint", default=None, metavar="PATH",
+                           help="durable per-point checkpoint file "
+                                "(default: <output>.sweep.ckpt)")
+        sweep.add_argument("--resume", action="store_true",
+                           help="skip rate points already recorded in the "
+                                "checkpoint (bit-identical to an "
+                                "uninterrupted sweep)")
+        sweep.add_argument("--interrupt-after", type=int, default=None,
+                           metavar="N",
+                           help="fault injection: abort the sweep after N "
+                                "completed points (exercises the "
+                                "checkpoint/--resume path)")
     return parser
 
 
@@ -999,7 +961,7 @@ _HANDLERS = {
     "trace": _cmd_trace,
     "traffic": _cmd_traffic,
     "cosim": _cmd_cosim,
-    "cluster": _cmd_cluster,
+    "cluster": _cmd_sweep,
 }
 
 

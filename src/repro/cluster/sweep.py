@@ -15,12 +15,16 @@ per replica, zero activation bytes is bit-identical to
 :func:`repro.cosim.sweep.run_load_sweep` on the same arguments (the
 equivalence CI asserts it), so cluster curves and single-device curves
 live on the same scale.
+
+The grid runs through the single-device sweep's executor,
+:func:`repro.cosim.sweep.run_sweep_grid`, with :func:`_run_cluster_point`
+as its point function, so cluster sweeps share its checkpoint/resume,
+worker pool, interruption, failed-point isolation and SLO step.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import pathlib
 from dataclasses import asdict, dataclass, field
 from types import SimpleNamespace
@@ -40,17 +44,14 @@ from repro.cluster.config import ClusterConfig
 from repro.cosim.driver import CosimDriver, CosimResult, config_layers
 from repro.cosim.sweep import (
     SweepPoint,
-    _failed_point,
     _point_from_run,
     _traffic_columns,
     point_requests,
-    slo_capacity,
+    run_sweep_grid,
     sweep_provenance,
 )
 
 CLUSTER_SWEEP_FORMAT_VERSION = 1
-
-logger = logging.getLogger(__name__)
 
 
 def _merged_point(
@@ -308,8 +309,11 @@ def run_cluster_sweep(
     serving=None,
     loop=None,
     slo_p99_seconds: Optional[float] = None,
-    on_point: Optional[Callable[[int, str, float, SweepPoint], None]] = None,
+    on_point: Optional[Callable[[float, SweepPoint], None]] = None,
     traffic=None,
+    workers: int = 0,
+    checkpoint_path=None,
+    resume: bool = False,
 ) -> tuple[ClusterSweepResult, dict[tuple[int, str], list[Optional[CosimResult]]]]:
     """Sweep the full replica x policy x rate grid.
 
@@ -325,12 +329,13 @@ def run_cluster_sweep(
     :class:`~repro.cluster.backend.ShardedDramBackend`.  Per-curve SLO
     capacities are read against one shared threshold (given, or
     auto-derived from the *first* curve's lowest-rate point) so curves
-    are comparable.
+    are comparable.  ``workers``, ``checkpoint_path``/``resume`` and
+    ``on_point(rate, point)`` are :func:`~repro.cosim.sweep.run_sweep_grid`'s.
 
     Returns the serializable result plus per-curve lists of the live
     per-rate :class:`CosimResult` s (single-replica curves; multi-
     replica rates carry ``None`` -- their per-replica runs were merged
-    into the recorded point).
+    into the recorded point -- as do restored and failed points).
 
     An active ``traffic`` config swaps request generation to
     :func:`repro.traffic.generate.generate_requests` (tenant mixes,
@@ -338,10 +343,6 @@ def run_cluster_sweep(
     every point -- the same semantics as the single-device sweep, so
     the 1-replica anchor stays bit-identical under any scenario.
     """
-    if not rates:
-        raise ValueError("rates must be non-empty")
-    if sorted(rates) != list(rates):
-        raise ValueError("rates must be sorted ascending")
     if planner is None:
         raise ValueError("cluster sweeps need a replay planner")
     cluster = cluster or ClusterConfig()
@@ -365,75 +366,58 @@ def run_cluster_sweep(
         result.tenant_slo_p99_ms = {
             t.name: t.slo_p99_ms for t in traffic.tenants
         }
-    runs_by_curve: dict[tuple[int, str], list[Optional[CosimResult]]] = {}
-    for policy in cluster.policies:
-        for n_replicas in cluster.replicas:
-            curve = ClusterCurve(replicas=n_replicas, policy=policy)
-            curve_runs: list[Optional[CosimResult]] = []
-            for rate in rates:
-                requests = point_requests(rate, n_requests, seed, serving, traffic)
-                try:
-                    point, run = _run_cluster_point(
-                        cost_model,
-                        scheme,
-                        planner,
-                        serving,
-                        loop,
-                        cluster,
-                        n_replicas,
-                        policy,
-                        rate,
-                        requests,
-                        traffic,
-                    )
-                except Exception as exc:
-                    logger.warning(
-                        "cluster point replicas=%d policy=%s rate=%g failed: %s",
-                        n_replicas,
-                        policy,
-                        rate,
-                        exc,
-                    )
-                    point, run = _failed_point(rate, exc), None
-                curve.points.append(point)
-                curve_runs.append(run)
-                if on_point is not None:
-                    on_point(n_replicas, policy, rate, point)
-            result.curves.append(curve)
-            runs_by_curve[(n_replicas, policy)] = curve_runs
-
-    ok_anchor = [
-        p for p in result.curves[0].points if not p.failed
-    ]
-    if slo_p99_seconds is not None:
-        result.slo_p99_seconds = float(slo_p99_seconds)
-        result.slo_auto = False
-    elif ok_anchor:
-        result.slo_p99_seconds = 5.0 * ok_anchor[0].closed_p99
-        result.slo_auto = True
-    if result.slo_p99_seconds > 0:
-        for curve in result.curves:
-            ok = [p for p in curve.points if not p.failed]
-            if ok:
-                curve.slo_capacity_rps = slo_capacity(ok, result.slo_p99_seconds)
-    return result, runs_by_curve
+    curves = {
+        (n_replicas, policy): ClusterCurve(replicas=n_replicas, policy=policy)
+        for policy in cluster.policies
+        for n_replicas in cluster.replicas
+    }
+    result.curves = list(curves.values())
+    runs = run_sweep_grid(
+        result,
+        curves,
+        rates,
+        _run_cluster_point,
+        dict(
+            cost_model=cost_model,
+            scheme=scheme,
+            planner=planner,
+            serving=serving,
+            loop=loop,
+            n_requests=n_requests,
+            seed=seed,
+            traffic=traffic,
+            cluster=cluster,
+        ),
+        workers=workers,
+        checkpoint_path=checkpoint_path,
+        resume=resume,
+        on_point=on_point,
+        slo_p99_seconds=slo_p99_seconds,
+    )
+    return result, {
+        key: [runs.get(key + (rate,)) for rate in rates] for key in curves
+    }
 
 
 def _run_cluster_point(
+    n_replicas: int,
+    policy: str,
+    rate: float,
+    *,
     cost_model: CostModel,
     scheme: Scheme,
     planner,
     serving,
     loop,
+    n_requests: int,
+    seed: int,
     cluster: ClusterConfig,
-    n_replicas: int,
-    policy: str,
-    rate: float,
-    requests,
     traffic=None,
 ) -> tuple[SweepPoint, Optional[CosimResult]]:
-    """One (curve, rate) point: balance, run each replica's closed
-    loop, merge."""
+    """One (curve, rate) point: generate the offered load, balance it,
+    run each replica's closed loop, merge.  The cluster point function
+    of :func:`~repro.cosim.sweep.run_sweep_grid`."""
+    requests = point_requests(rate, n_requests, seed, serving, traffic)
     assignment = assign_replicas(
         requests,
         n_replicas,

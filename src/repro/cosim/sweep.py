@@ -8,15 +8,21 @@ Results serialize to a versioned JSON document (same versioning
 conventions as :mod:`repro.workloads.serialization`) and render as a
 table via :mod:`repro.analysis.report`.
 
-Fault tolerance: with a ``checkpoint_path``, every completed rate
-point is durably appended to a ``*.sweep.ckpt`` sidecar (JSONL, one
-fsynced line per point) the moment it finishes, SIGINT/SIGTERM raise
+:func:`run_sweep_grid` is the one sweep executor: it runs a grid of
+(curve, rate) points through one module-level point function, here
+:func:`_run_rate_point` over a one-curve grid and, for
+:func:`repro.cluster.sweep.run_cluster_sweep`, its (replicas, policy,
+rate) grid.  Fault tolerance lives there, so both runners get it:
+with a ``checkpoint_path``, every completed point is durably appended
+to a ``*.sweep.ckpt`` sidecar (JSONL, one fsynced line per point,
+keyed by its grid key) the moment it finishes, SIGINT/SIGTERM raise
 :class:`SweepInterrupted` *between* points (never mid-checkpoint), and
 ``resume=True`` loads the checkpoint, skips its completed points, and
 produces output bit-identical to an uninterrupted sweep -- each point
 is seeded independently, so partial progress composes exactly.  A
-point that *fails* (its cosim run raises) is isolated: it is recorded
-as a ``failed`` point with the error string and the sweep continues.
+point that *fails* (its request generation or cosim run raises) is
+isolated: it is recorded as a ``failed`` point with the error string
+and the sweep continues.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from repro.workloads.serialization import check_format_version
 from repro.cosim.driver import CosimDriver, CosimResult, config_layers, make_estimator
 
 SWEEP_FORMAT_VERSION = 1
-SWEEP_CKPT_VERSION = 1
+SWEEP_CKPT_VERSION = 2
 SWEEP_CKPT_SUFFIX = ".sweep.ckpt"
 
 logger = logging.getLogger(__name__)
@@ -333,23 +339,24 @@ def sweep_provenance(
 
 
 def _run_rate_point(
+    rate: float,
+    *,
     cost_model: CostModel,
     scheme: Scheme,
     planner,
     serving,
     loop,
-    rate: float,
     n_requests: int,
     seed: int,
     traffic=None,
-) -> CosimResult:
+) -> tuple[SweepPoint, CosimResult]:
     """Run the closed loop at one offered-load point.
 
-    Module-level and built only from picklable pieces, so
-    :func:`run_load_sweep` can fan independent grid points out over a
-    process pool.  Each point builds its own generator and driver from
-    the same seed, so results are identical whether points run
-    serially, in parallel, or in any order.
+    The single-device point function of :func:`run_sweep_grid`:
+    module-level and built only from picklable pieces, so grid points
+    can fan out over a process pool.  Each point builds its own
+    generator and driver from the same seed, so results are identical
+    whether points run serially, in parallel, or in any order.
 
     With ``planner=None`` the point runs serving-only (open loop, no
     DRAM feedback): the configured engine's estimator serves the rate
@@ -360,17 +367,19 @@ def _run_rate_point(
     requests = point_requests(rate, n_requests, seed, serving, traffic)
     if planner is None:
         result = make_estimator(cost_model, scheme, serving).serve(requests)
-        return CosimResult(
+        run = CosimResult(
             scheme=scheme,
             converged=True,
             open_loop=result,
             closed_loop=result,
         )
-    driver = CosimDriver(cost_model, scheme, planner, serving=serving, loop=loop)
-    try:
-        return driver.run(requests)
-    finally:
-        driver.close()
+    else:
+        driver = CosimDriver(cost_model, scheme, planner, serving=serving, loop=loop)
+        try:
+            run = driver.run(requests)
+        finally:
+            driver.close()
+    return _point_from_run(rate, run, traffic), run
 
 
 def _traffic_columns(closed, traffic) -> dict:
@@ -475,24 +484,17 @@ def _failed_point(rate: float, exc: BaseException) -> SweepPoint:
     )
 
 
-def _checkpoint_header(fingerprint: dict) -> dict:
-    return {
-        "version": SWEEP_CKPT_VERSION,
-        "kind": "cosim_sweep_ckpt",
-        "fingerprint": fingerprint,
-    }
-
-
-def load_checkpoint(path, fingerprint: dict) -> dict[float, SweepPoint]:
+def load_checkpoint(path, fingerprint: dict) -> dict[tuple, SweepPoint]:
     """Read a ``*.sweep.ckpt`` sidecar; returns completed points by
-    rate.
+    grid key (the curve key followed by the rate).
 
-    The checkpoint's fingerprint (scheme / grid / seed / config) must
-    match this sweep's exactly -- resuming against a different
-    configuration would splice incomparable points into one document.
-    A torn final line (the crash-mid-append shape; each line is
-    fsynced *after* it is fully written, so only the tail can tear) is
-    ignored: that point simply reruns.
+    The checkpoint's fingerprint (scheme / grid / seed / config, and
+    the cluster layer for cluster sweeps) must match this sweep's
+    exactly -- resuming against a different configuration would splice
+    incomparable points into one document.  A torn final line (the
+    crash-mid-append shape; each line is fsynced *after* it is fully
+    written, so only the tail can tear) is ignored: that point simply
+    reruns.
     """
     path = pathlib.Path(path)
     with open(path, "r", encoding="utf-8") as fh:
@@ -503,7 +505,7 @@ def load_checkpoint(path, fingerprint: dict) -> dict[float, SweepPoint]:
     check_format_version(
         header.get("version"), SWEEP_CKPT_VERSION, "sweep checkpoint"
     )
-    if header.get("kind") != "cosim_sweep_ckpt":
+    if header.get("kind") != "sweep_ckpt":
         raise ValueError(
             f"{path}: not a sweep checkpoint (kind={header.get('kind')!r})"
         )
@@ -513,12 +515,13 @@ def load_checkpoint(path, fingerprint: dict) -> dict[float, SweepPoint]:
             "(different grid, seed, or config); delete the checkpoint or "
             "rerun without resume"
         )
-    done: dict[float, SweepPoint] = {}
+    done: dict[tuple, SweepPoint] = {}
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         try:
             record = json.loads(line)
+            key = tuple(record["key"])
             point = SweepPoint(**record["point"])
         except (ValueError, KeyError, TypeError) as exc:
             if i == len(lines):
@@ -530,8 +533,198 @@ def load_checkpoint(path, fingerprint: dict) -> dict[float, SweepPoint]:
                 )
                 break
             raise ValueError(f"{path}: corrupt checkpoint line {i}: {exc}") from exc
-        done[point.rate] = point
+        done[key] = point
     return done
+
+
+def run_sweep_grid(
+    result,
+    curves: dict,
+    rates: list[float],
+    point_fn: Callable,
+    point_kwargs: dict,
+    workers: int = 0,
+    checkpoint_path=None,
+    resume: bool = False,
+    on_point: Optional[Callable[[float, SweepPoint], None]] = None,
+    slo_p99_seconds: Optional[float] = None,
+) -> dict[tuple, CosimResult]:
+    """Execute every (curve, rate) point of a sweep grid: the one point
+    loop behind :func:`run_load_sweep` and
+    :func:`repro.cluster.sweep.run_cluster_sweep`.
+
+    ``curves`` maps each curve key (``()`` for the single-device
+    sweep's one curve) to an object with ``points`` and
+    ``slo_capacity_rps``.  Each point runs the module-level
+    ``point_fn(*curve_key, rate, **point_kwargs)``, which returns
+    ``(SweepPoint, CosimResult or None)``.  ``result`` is the document
+    being filled: its header fingerprints the checkpoint, and it
+    receives the SLO threshold.  Returns the live :class:`CosimResult`
+    of every freshly run point by grid key (``curve_key + (rate,)``).
+
+    ``workers`` >= 2 runs the (independent) grid points over a process
+    pool instead of serially -- each worker gets its own pickled copy
+    of the point arguments, and the per-point seeding is identical
+    either way, so the sweep output is bit-identical to the serial
+    run.  Pool workers are daemonic and cannot spawn the nested DRAM
+    drain pool, so ``dram_workers`` is forced to 0 inside parallel
+    grid points (use one or the other level of parallelism).
+
+    ``checkpoint_path`` enables durable progress: each completed point
+    is fsync-appended to the sidecar the moment it finishes, SIGINT /
+    SIGTERM raise :class:`SweepInterrupted` between points, and
+    ``resume=True`` loads matching completed points (fingerprint-
+    checked) instead of rerunning them -- the assembled result is
+    bit-identical to an uninterrupted sweep.  The sidecar is removed
+    once the whole grid completes.  A grid point whose call raises
+    (request generation included) is recorded as a ``failed`` point
+    (and checkpointed as such, so resume does not retry it); the rest
+    of the sweep continues.  ``on_point(rate, point)`` is called after
+    each completed point's checkpoint is durable -- the hook the
+    fault-injection harness uses to interrupt at exact point counts.
+
+    One SLO threshold serves every curve so curves are comparable:
+    ``slo_p99_seconds`` if given (recorded even when every point
+    failed), else 5x the closed p99 of the first curve's lowest-rate
+    point -- "how far can load grow before the tail is 5x the
+    uncongested tail".  Each curve's capacity is read against it with
+    :func:`slo_capacity`.
+    """
+    if not rates:
+        raise ValueError("rates must be non-empty")
+    if sorted(rates) != list(rates):
+        raise ValueError("rates must be sorted ascending")
+    if workers < 0:
+        raise ValueError("workers must be non-negative")
+    if slo_p99_seconds is not None and slo_p99_seconds <= 0:
+        raise ValueError("slo_p99_seconds must be positive")
+    grid = [curve + (rate,) for curve in curves for rate in rates]
+    # The document header (scheme, seed, config, cluster layer, curve
+    # keys) plus the rate grid: a checkpoint resumes only this sweep.
+    fingerprint = {**result.to_dict(), "rates": [float(r) for r in rates]}
+    done: dict[tuple, SweepPoint] = {}
+    if checkpoint_path is not None:
+        checkpoint_path = pathlib.Path(checkpoint_path)
+        if resume and checkpoint_path.exists():
+            done = load_checkpoint(checkpoint_path, fingerprint)
+            if done:
+                logger.info(
+                    "%s: resuming sweep; %d of %d point(s) already complete",
+                    checkpoint_path,
+                    len(done),
+                    len(grid),
+                )
+    todo = [key for key in grid if key not in done]
+    runs: dict[tuple, CosimResult] = {}
+    use_pool = workers >= 2 and len(todo) >= 2
+    if use_pool:
+        point_kwargs = {
+            **point_kwargs,
+            "loop": dataclasses.replace(point_kwargs["loop"], dram_workers=0),
+        }
+
+    ckpt_fh = None
+    if checkpoint_path is not None:
+        # Append when resuming onto an existing compatible checkpoint;
+        # otherwise start it fresh with a fingerprinted header line.
+        if done:
+            ckpt_fh = open(checkpoint_path, "ab")
+        else:
+            ckpt_fh = open(checkpoint_path, "wb")
+            header = {
+                "version": SWEEP_CKPT_VERSION,
+                "kind": "sweep_ckpt",
+                "fingerprint": fingerprint,
+            }
+            durable_append(ckpt_fh, (json.dumps(header) + "\n").encode())
+
+    def settle(key: tuple, outcome: Callable) -> None:
+        """Record one point: ``outcome()`` returns its (point, run) or
+        raises, and a raising point is recorded as failed."""
+        try:
+            point, run = outcome()
+        except SweepInterrupted:
+            raise
+        except Exception as exc:
+            logger.warning("sweep point %s failed: %s", key, exc)
+            point, run = _failed_point(key[-1], exc), None
+        done[key] = point
+        if run is not None:
+            runs[key] = run
+        if ckpt_fh is not None:
+            line = {"key": list(key), "point": asdict(point)}
+            durable_append(ckpt_fh, (json.dumps(line) + "\n").encode())
+        if on_point is not None:
+            on_point(key[-1], point)
+
+    # SIGINT/SIGTERM land as SweepInterrupted between points (the
+    # durable append for the in-flight point either fully happened or
+    # the point reruns on resume).  Handlers only exist for the
+    # duration of the loop, and only on the main thread -- signal
+    # installation is illegal elsewhere.
+    installed = []
+    if checkpoint_path is not None and (
+        threading.current_thread() is threading.main_thread()
+    ):
+
+        def _interrupt(signum, frame):
+            raise SweepInterrupted(f"received signal {signum}")
+
+        for sig in (signal.SIGINT, signal.SIGTERM):
+            try:
+                installed.append((sig, signal.signal(sig, _interrupt)))
+            except (ValueError, OSError):  # pragma: no cover - exotic host
+                pass
+    try:
+        if use_pool:
+            methods = multiprocessing.get_all_start_methods()
+            ctx = multiprocessing.get_context(
+                "fork" if "fork" in methods else "spawn"
+            )
+            pool = ctx.Pool(min(workers, len(todo)))
+            try:
+                pending = {
+                    key: pool.apply_async(point_fn, key, point_kwargs)
+                    for key in todo
+                }
+                # Checkpoint in completion order (resume assembles the
+                # grid order from the keys, so order on disk is
+                # irrelevant).
+                while pending:
+                    next(iter(pending.values())).wait(0.05)
+                    for key in [k for k, ar in pending.items() if ar.ready()]:
+                        settle(key, lambda: pending.pop(key).get(0))
+            finally:
+                pool.terminate()
+                pool.join()
+        else:
+            for key in todo:
+                settle(key, lambda: point_fn(*key, **point_kwargs))
+    finally:
+        for sig, previous in installed:
+            signal.signal(sig, previous)
+        if ckpt_fh is not None:
+            ckpt_fh.close()
+
+    for curve_key, curve in curves.items():
+        curve.points.extend(done[curve_key + (rate,)] for rate in rates)
+    first = next(iter(curves.values()))
+    anchor = [p for p in first.points if not p.failed]
+    if slo_p99_seconds is not None:
+        result.slo_p99_seconds = float(slo_p99_seconds)
+        result.slo_auto = False
+    elif anchor:
+        result.slo_p99_seconds = 5.0 * anchor[0].closed_p99
+        result.slo_auto = True
+    if result.slo_p99_seconds > 0:
+        for curve in curves.values():
+            ok = [p for p in curve.points if not p.failed]
+            if ok:
+                curve.slo_capacity_rps = slo_capacity(ok, result.slo_p99_seconds)
+    if checkpoint_path is not None:
+        # The grid is complete; the sidecar has served its purpose.
+        checkpoint_path.unlink(missing_ok=True)
+    return runs
 
 
 def run_load_sweep(
@@ -564,10 +757,8 @@ def run_load_sweep(
 
     The result carries an SLO capacity answer: the max sustained
     offered load whose closed-loop p99 stays under ``slo_p99_seconds``
-    (interpolated between grid points; see :func:`slo_capacity`).
-    When no threshold is given, one is auto-derived as 5x the
-    lowest-rate point's closed p99 -- "how far can load grow before
-    the tail is 5x the uncongested tail".
+    (interpolated between grid points; see :func:`slo_capacity`),
+    auto-derived when not given.
 
     Returns the serializable :class:`SweepResult` plus the per-rate
     :class:`CosimResult` objects (which keep the full iteration
@@ -576,26 +767,10 @@ def run_load_sweep(
     checkpoint or recorded as failed -- only freshly-run points carry
     a live :class:`CosimResult`.
 
-    ``workers`` >= 2 runs the (independent) grid points over a process
-    pool instead of serially -- each worker gets its own pickled copy
-    of the cost model / planner / config, and the per-point seeding is
-    identical either way, so the sweep output is bit-identical to the
-    serial run.  Pool workers are daemonic and cannot spawn the
-    nested DRAM drain pool, so ``dram_workers`` is forced to 0 inside
-    parallel grid points (use one or the other level of parallelism).
-
-    ``checkpoint_path`` enables durable progress: each completed point
-    is fsync-appended to the sidecar the moment it finishes, SIGINT /
-    SIGTERM raise :class:`SweepInterrupted` between points, and
-    ``resume=True`` loads matching completed points (fingerprint-
-    checked) instead of rerunning them -- the assembled result is
-    bit-identical to an uninterrupted sweep.  The sidecar is removed
-    once the whole grid completes.  A grid point whose run raises is
-    recorded as a ``failed`` point (and checkpointed as such, so
-    resume does not retry it); the rest of the sweep continues.
-    ``on_point(rate, point)`` is called after each completed point's
-    checkpoint is durable -- the hook the fault-injection harness uses
-    to interrupt at exact point counts.
+    The grid runs through :func:`run_sweep_grid`, which defines
+    ``workers``, ``checkpoint_path``/``resume`` (durable per-point
+    progress), ``on_point(rate, point)``, failed-point isolation and
+    the SLO threshold.
 
     ``traffic`` (a :class:`~repro.experiments.config.TrafficConfig`,
     or ``None``) drives scenario request generation: tenant mixes and
@@ -605,12 +780,6 @@ def run_load_sweep(
     against a different scenario is rejected).  ``None`` keeps the
     legacy single-tenant path bit-identical.
     """
-    if not rates:
-        raise ValueError("rates must be non-empty")
-    if sorted(rates) != list(rates):
-        raise ValueError("rates must be sorted ascending")
-    if workers < 0:
-        raise ValueError("workers must be non-negative")
     serving, loop = config_layers(serving, loop)
     sweep = SweepResult(
         scheme=scheme.value,
@@ -624,148 +793,25 @@ def run_load_sweep(
     )
     if traffic is not None:
         sweep.tenant_slo_p99_ms = {t.name: t.slo_p99_ms for t in traffic.tenants}
-    fingerprint = {
-        "scheme": sweep.scheme,
-        "arrival": serving.arrival,
-        "n_requests": n_requests,
-        "seed": seed,
-        "rates": [float(r) for r in rates],
-        "config": sweep.config,
-    }
-    done: dict[float, SweepPoint] = {}
-    if checkpoint_path is not None:
-        checkpoint_path = pathlib.Path(checkpoint_path)
-        if resume and checkpoint_path.exists():
-            done = load_checkpoint(checkpoint_path, fingerprint)
-            if done:
-                logger.info(
-                    "%s: resuming sweep; %d of %d point(s) already complete",
-                    checkpoint_path,
-                    len(done),
-                    len(rates),
-                )
-    todo = [rate for rate in rates if rate not in done]
-    runs_by_rate: dict[float, CosimResult] = {}
-    use_pool = workers >= 2 and len(todo) >= 2
-    point_args = {
-        rate: (
-            cost_model,
-            scheme,
-            planner,
-            serving,
-            dataclasses.replace(loop, dram_workers=0) if use_pool else loop,
-            rate,
-            n_requests,
-            seed,
-            traffic,
-        )
-        for rate in todo
-    }
-
-    ckpt_fh = None
-    if checkpoint_path is not None:
-        # Append when resuming onto an existing compatible checkpoint;
-        # otherwise start it fresh with a fingerprinted header line.
-        if done:
-            ckpt_fh = open(checkpoint_path, "ab")
-        else:
-            ckpt_fh = open(checkpoint_path, "wb")
-            durable_append(
-                ckpt_fh,
-                (json.dumps(_checkpoint_header(fingerprint)) + "\n").encode(),
-            )
-
-    def record(rate: float, point: SweepPoint, run: Optional[CosimResult]) -> None:
-        done[rate] = point
-        if run is not None:
-            runs_by_rate[rate] = run
-        if ckpt_fh is not None:
-            durable_append(
-                ckpt_fh,
-                (json.dumps({"rate": rate, "point": asdict(point)}) + "\n").encode(),
-            )
-        if on_point is not None:
-            on_point(rate, point)
-
-    # SIGINT/SIGTERM land as SweepInterrupted between points (the
-    # durable append for the in-flight point either fully happened or
-    # the point reruns on resume).  Handlers only exist for the
-    # duration of the loop, and only on the main thread -- signal
-    # installation is illegal elsewhere.
-    installed = []
-    if checkpoint_path is not None and (
-        threading.current_thread() is threading.main_thread()
-    ):
-
-        def _interrupt(signum, frame):
-            raise SweepInterrupted(f"received signal {signum}")
-
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                installed.append((sig, signal.signal(sig, _interrupt)))
-            except (ValueError, OSError):  # pragma: no cover - exotic host
-                pass
-    try:
-        if use_pool:
-            methods = multiprocessing.get_all_start_methods()
-            ctx = multiprocessing.get_context(
-                "fork" if "fork" in methods else "spawn"
-            )
-            pool = ctx.Pool(min(workers, len(todo)))
-            try:
-                pending = {
-                    rate: pool.apply_async(_run_rate_point, point_args[rate])
-                    for rate in todo
-                }
-                # Checkpoint in completion order (resume assembles the
-                # grid order from the rate keys, so order on disk is
-                # irrelevant); a failed point is recorded and skipped.
-                while pending:
-                    next(iter(pending.values())).wait(0.05)
-                    for rate in [r for r, ar in pending.items() if ar.ready()]:
-                        ar = pending.pop(rate)
-                        try:
-                            run = ar.get(0)
-                        except Exception as exc:
-                            logger.warning(
-                                "sweep point rate=%g failed: %s", rate, exc
-                            )
-                            record(rate, _failed_point(rate, exc), None)
-                        else:
-                            record(rate, _point_from_run(rate, run, traffic), run)
-            finally:
-                pool.terminate()
-                pool.join()
-        else:
-            for rate in todo:
-                try:
-                    run = _run_rate_point(*point_args[rate])
-                except SweepInterrupted:
-                    raise
-                except Exception as exc:
-                    logger.warning("sweep point rate=%g failed: %s", rate, exc)
-                    record(rate, _failed_point(rate, exc), None)
-                else:
-                    record(rate, _point_from_run(rate, run, traffic), run)
-    finally:
-        for sig, previous in installed:
-            signal.signal(sig, previous)
-        if ckpt_fh is not None:
-            ckpt_fh.close()
-
-    sweep.points.extend(done[rate] for rate in rates)
-    ok_points = [p for p in sweep.points if not p.failed]
-    if ok_points:
-        if slo_p99_seconds is not None:
-            sweep.slo_p99_seconds = float(slo_p99_seconds)
-            sweep.slo_auto = False
-        else:
-            # "How far can load grow before the tail is 5x the
-            # uncongested tail" -- anchor on the lowest-rate point.
-            sweep.slo_p99_seconds = 5.0 * ok_points[0].closed_p99
-            sweep.slo_auto = True
-        sweep.slo_capacity_rps = slo_capacity(ok_points, sweep.slo_p99_seconds)
-    if checkpoint_path is not None:
-        # The grid is complete; the sidecar has served its purpose.
-        checkpoint_path.unlink(missing_ok=True)
-    return sweep, [runs_by_rate.get(rate) for rate in rates]
+    runs = run_sweep_grid(
+        sweep,
+        {(): sweep},
+        rates,
+        _run_rate_point,
+        dict(
+            cost_model=cost_model,
+            scheme=scheme,
+            planner=planner,
+            serving=serving,
+            loop=loop,
+            n_requests=n_requests,
+            seed=seed,
+            traffic=traffic,
+        ),
+        workers=workers,
+        checkpoint_path=checkpoint_path,
+        resume=resume,
+        on_point=on_point,
+        slo_p99_seconds=slo_p99_seconds,
+    )
+    return sweep, [runs.get((rate,)) for rate in rates]

@@ -5,9 +5,11 @@ objects the simulation layers consume (cost model, scheme, replay
 planner); :func:`run_experiment` dispatches on ``config.mode`` to the
 single-replica rate sweep or the cluster capacity grid, handing both
 the config's own ``serving`` and ``loop`` layers -- the one source of
-every engine and fixed-point knob.  Both CLI subcommands and
-programmatic callers go through here, so a config file reproduces a
-CLI run exactly.
+every engine and fixed-point knob.  Both runners execute their grid
+through one point loop (:func:`repro.cosim.sweep.run_sweep_grid`),
+so checkpoint/resume, worker pools and failed-point isolation apply
+in either mode.  Both CLI sweep subcommands and programmatic callers
+go through here, so a config file reproduces a CLI run exactly.
 """
 
 from __future__ import annotations
@@ -119,33 +121,13 @@ def run_experiment(
     plus per-rate runs in cosim mode, a
     :class:`~repro.cluster.sweep.ClusterSweepResult` plus a
     ``(replicas, policy) -> runs`` dict in cluster mode.  ``workers``,
-    ``checkpoint_path``, and ``resume`` are execution details (not part
-    of the experiment's identity, so not config fields) and apply to
-    cosim mode only.
+    ``checkpoint_path``, ``resume`` and ``on_point`` are execution
+    details (not part of the experiment's identity, so not config
+    fields).
     """
     cost, scheme, planner = build_components(config)
     slo = config.slo_p99_ms * 1e-3 if config.slo_p99_ms is not None else None
-    traffic = config.traffic if config.traffic.active else None
-    if config.mode == "cluster":
-        return run_cluster_sweep(
-            cost,
-            scheme,
-            planner,
-            list(config.rates),
-            cluster=config.cluster,
-            n_requests=config.n_requests,
-            seed=config.seed,
-            serving=config.serving,
-            loop=config.loop,
-            slo_p99_seconds=slo,
-            on_point=on_point,
-            traffic=traffic,
-        )
-    return run_load_sweep(
-        cost,
-        scheme,
-        planner,
-        list(config.rates),
+    kwargs = dict(
         n_requests=config.n_requests,
         seed=config.seed,
         serving=config.serving,
@@ -155,5 +137,10 @@ def run_experiment(
         resume=resume,
         on_point=on_point,
         slo_p99_seconds=slo,
-        traffic=traffic,
+        traffic=config.traffic if config.traffic.active else None,
     )
+    if config.mode == "cluster":
+        return run_cluster_sweep(
+            cost, scheme, planner, list(config.rates), cluster=config.cluster, **kwargs
+        )
+    return run_load_sweep(cost, scheme, planner, list(config.rates), **kwargs)

@@ -242,10 +242,12 @@ def zero_header_count(path) -> None:
 
 
 def interrupt_after(n_points: int):
-    """An ``on_point`` callback for
-    :func:`~repro.cosim.sweep.run_load_sweep` that interrupts the
-    sweep after ``n_points`` completed rate points -- the exact
-    instant a SIGINT/SIGTERM would land, minus the nondeterminism.
+    """An ``on_point`` callback for both sweep runners,
+    :func:`~repro.cosim.sweep.run_load_sweep` and
+    :func:`~repro.cluster.sweep.run_cluster_sweep` (they share one
+    point loop), that interrupts the sweep after ``n_points``
+    completed grid points -- the exact instant a SIGINT/SIGTERM would
+    land, minus the nondeterminism.
     The completed points are already durably checkpointed when the
     callback fires, so resume semantics are identical."""
     from repro.cosim.sweep import SweepInterrupted

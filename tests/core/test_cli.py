@@ -135,3 +135,140 @@ def test_cluster_sweep_from_config_file(capsys, tmp_path):
     loaded = ClusterSweepResult.load(output)
     assert [c.replicas for c in loaded.curves] == [1, 2]
     assert all(len(c.points) == 2 for c in loaded.curves)
+
+
+class _Captured(Exception):
+    """Raised by the stand-in ``run_experiment`` with the config the CLI
+    resolved, so flag resolution is observed without simulating."""
+
+
+def _resolved_config(monkeypatch, argv):
+    import repro.experiments
+
+    def capture(config, **kwargs):
+        raise _Captured(config)
+
+    monkeypatch.setattr(repro.experiments, "run_experiment", capture)
+    with pytest.raises(_Captured) as info:
+        main(argv)
+    return info.value.args[0]
+
+
+def _flat(config) -> dict:
+    flat = {}
+    for key, value in config.to_dict().items():
+        if isinstance(value, dict):
+            flat.update({f"{key}.{k}": v for k, v in value.items()})
+        else:
+            flat[key] = value
+    return flat
+
+
+# (flag tokens, the config fields they set).  --encode-us and
+# --decode-us are only valid together, so they form one case.
+SHARED_SWEEP_FLAGS = [
+    (["--scheme", "gpu+pm"], {"scheme": "gpu+pm"}),
+    (["--workload", "xsum"], {"cost.workload": "xsum"}),
+    (["--arrival", "onoff"], {"serving.arrival": "onoff"}),
+    (["--requests", "7"], {"n_requests": 7}),
+    (["--seed", "5"], {"seed": 5}),
+    (["--mean-prompt-tokens", "9"], {"serving.mean_prompt_tokens": 9}),
+    (["--mean-decode-tokens", "3"], {"serving.mean_decode_tokens": 3}),
+    (
+        ["--encode-us", "0.5", "--decode-us", "0.7"],
+        {"cost.encode_us": 0.5, "cost.decode_us": 0.7},
+    ),
+    (["--bytes-per-token", "4096"], {"replay.bytes_per_token": 4096}),
+    (["--max-blocks", "64"], {"replay.max_blocks_per_request": 64}),
+    (["--damping", "0.3"], {"loop.damping": 0.3}),
+    (["--max-iters", "3"], {"loop.max_iterations": 3}),
+    (["--tol", "0.1"], {"loop.p99_tolerance": 0.1}),
+    (["--small-dram"], {"replay.dram": "small"}),
+    (["--synthetic-regions"], {"replay.synthetic": True}),
+    (["--dram-workers", "2"], {"loop.dram_workers": 2}),
+    (["--engine", "batching"], {"serving.engine": "batching"}),
+    (["--max-batch", "3"], {"serving.max_batch": 3}),
+    (["--prefill-budget", "100"], {"serving.prefill_token_budget": 100}),
+    (["--priority", "decode"], {"serving.priority": "decode"}),
+    (["--decode-marginal", "0.25"], {"serving.decode_marginal_fraction": 0.25}),
+    (["--slo-p99-ms", "2.5"], {"slo_p99_ms": 2.5}),
+    (["--rates", "3,1"], {"rates": [1.0, 3.0]}),
+]
+CLUSTER_SWEEP_FLAGS = [
+    (["--replicas", "1,3"], {"cluster.replicas": [1, 3]}),
+    (["--devices-per-replica", "2"], {"cluster.devices_per_replica": 2}),
+    (["--policies", "hot_cold,replicated"],
+     {"cluster.policies": ["hot_cold", "replicated"]}),
+    (["--balancer", "least_loaded"], {"cluster.balancer": "least_loaded"}),
+    (["--hot-fraction", "0.5"], {"cluster.hot_fraction": 0.5}),
+    (["--activation-bytes", "128"], {"cluster.activation_bytes_per_token": 128}),
+]
+
+
+@pytest.mark.parametrize(
+    "command, tokens, expected",
+    [(cmd, tokens, expected)
+     for cmd in ("cosim", "cluster") for tokens, expected in SHARED_SWEEP_FLAGS]
+    + [("cluster", tokens, expected) for tokens, expected in CLUSTER_SWEEP_FLAGS],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_sweep_flag_sets_exactly_its_field(monkeypatch, command, tokens, expected):
+    """Every sweep flag overrides its own config field and nothing
+    else; cluster flags land in the cluster layer."""
+    base = _flat(_resolved_config(monkeypatch, [command, "sweep"]))
+    got = _flat(_resolved_config(monkeypatch, [command, "sweep"] + tokens))
+    changed = {k: v for k, v in got.items() if base[k] != v}
+    assert changed == expected
+
+
+def test_cosim_sweep_rejects_cluster_mode_config(monkeypatch, capsys, tmp_path):
+    """A cluster-mode base config names the right subcommand and exits
+    before simulating anything."""
+    import repro.experiments
+    from repro.experiments import get_preset
+
+    def refuse(config, **kwargs):
+        raise AssertionError("cosim sweep simulated a cluster-mode config")
+
+    monkeypatch.setattr(repro.experiments, "run_experiment", refuse)
+    config = tmp_path / "cluster.json"
+    get_preset("cluster_smoke").save(config)
+    for base in (["--preset", "cluster_smoke"], ["--config", str(config)]):
+        assert main(["cosim", "sweep"] + base) == 2
+        assert "repro cluster sweep" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tokens", [
+    ["--export-trace", "out.dramtrace"],
+    ["--export-rate", "1.0"],
+])
+def test_cluster_sweep_rejects_cosim_only_flags(monkeypatch, tokens):
+    import repro.experiments
+
+    def capture(config, **kwargs):
+        raise _Captured(config)
+
+    monkeypatch.setattr(repro.experiments, "run_experiment", capture)
+    with pytest.raises(SystemExit) as exc:
+        main(["cluster", "sweep"] + tokens)
+    assert exc.value.code == 2
+
+
+def test_single_rate_cosim_honours_traffic(monkeypatch):
+    """`repro cosim` serves the traffic scenario's request stream, the
+    same stream `cosim sweep` runs at that rate."""
+    from repro.cosim import CosimDriver
+    from repro.cosim.sweep import point_requests
+    from repro.experiments import get_preset
+
+    def capture(self, requests):
+        raise _Captured(requests)
+
+    monkeypatch.setattr(CosimDriver, "run", capture)
+    with pytest.raises(_Captured) as info:
+        main(["cosim", "--preset", "flash_crowd_smoke", "--rate", "1e6"])
+    served = info.value.args[0]
+    exp = get_preset("flash_crowd_smoke")
+    expected = point_requests(1e6, exp.n_requests, exp.seed, exp.serving, exp.traffic)
+    assert {r.tenant for r in served} == {"chat", "batch"}
+    assert [r.arrival for r in served] == [r.arrival for r in expected]

@@ -1,11 +1,16 @@
 """Sweep checkpoint/resume: durability, identity, isolation.
 
-The fault-tolerance contract of :func:`repro.cosim.run_load_sweep`:
-an interrupted sweep resumed from its ``*.sweep.ckpt`` sidecar must
-produce output **bit-identical** to the uninterrupted run, a stale or
-mismatched checkpoint must be rejected rather than spliced in, a torn
-final line must be tolerated, and one failing grid point must not take
-the sweep down with it.
+The fault-tolerance contract of the sweep point loop
+(:func:`repro.cosim.sweep.run_sweep_grid`) behind both
+:func:`repro.cosim.run_load_sweep` and
+:func:`repro.cluster.run_cluster_sweep`: an interrupted sweep resumed
+from its ``*.sweep.ckpt`` sidecar must produce output
+**bit-identical** to the uninterrupted run, a stale or mismatched
+checkpoint must be rejected rather than spliced in, a torn final line
+must be tolerated, and one failing grid point must not take the sweep
+down with it.  Cases that loop over ``RUNNERS`` (or take it as a
+parameter) check both runners; the cluster runner sweeps a 1- and
+2-replica replicated fleet.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import json
 
 import pytest
 
+from repro.cluster import ClusterConfig, ClusterSweepResult, run_cluster_sweep
 from repro.core.strategies import Scheme
 from repro.cosim import (
     ExpertReplayPlanner,
@@ -50,31 +56,69 @@ def sweep_kwargs(**overrides):
     return kwargs
 
 
-def run(rates=RATES, **overrides):
+RUNNERS = ("cosim", "cluster")
+CLUSTER = ClusterConfig(replicas=(1, 2), policies=("replicated",))
+
+
+def run(rates=RATES, runner="cosim", cluster=CLUSTER, **overrides):
     cost, planner = make_inputs()
+    if runner == "cluster":
+        return run_cluster_sweep(
+            cost, Scheme.MD_LB, planner, rates, cluster=cluster,
+            **sweep_kwargs(**overrides),
+        )
     return run_load_sweep(
         cost, Scheme.MD_LB, planner, rates, **sweep_kwargs(**overrides)
     )
 
 
+def curves(result):
+    """Every curve's points: the single-device sweep is one curve."""
+    if isinstance(result, ClusterSweepResult):
+        return [c.points for c in result.curves]
+    return [result.points]
+
+
+def live_runs(runs):
+    """Per-rate live runs of the single-device (or 1-replica) curve."""
+    return runs[(1, "replicated")] if isinstance(runs, dict) else runs
+
+
+def dumped(result) -> str:
+    return json.dumps(result.to_dict())
+
+
 @pytest.fixture(scope="module")
-def baseline():
-    result, runs = run()
-    return result
+def baselines():
+    cache = {}
+
+    def get(runner):
+        if runner not in cache:
+            cache[runner] = dumped(run(runner=runner)[0])
+        return cache[runner]
+
+    return get
 
 
-def test_interrupt_then_resume_bit_identical(tmp_path, baseline):
-    ckpt = tmp_path / "sweep.ckpt"
-    with pytest.raises(SweepInterrupted):
-        run(checkpoint_path=ckpt, on_point=interrupt_after(1))
-    assert ckpt.exists()
-    resumed, runs = run(checkpoint_path=ckpt, resume=True)
-    assert json.dumps(resumed.to_dict()) == json.dumps(baseline.to_dict())
-    # The grid completed: the sidecar is gone, and restored points
-    # carry no live CosimResult while rerun points do.
-    assert not ckpt.exists()
-    assert runs[0] is None
-    assert runs[1] is not None and runs[2] is not None
+@pytest.fixture(scope="module")
+def baseline(baselines):
+    return baselines("cosim")
+
+
+def test_interrupt_then_resume_bit_identical(tmp_path, baselines):
+    for runner in RUNNERS:
+        ckpt = tmp_path / f"{runner}.ckpt"
+        with pytest.raises(SweepInterrupted):
+            run(runner=runner, checkpoint_path=ckpt, on_point=interrupt_after(1))
+        assert ckpt.exists()
+        resumed, runs = run(runner=runner, checkpoint_path=ckpt, resume=True)
+        assert dumped(resumed) == baselines(runner), runner
+        # The grid completed: the sidecar is gone, and restored points
+        # carry no live CosimResult while rerun points do.
+        assert not ckpt.exists()
+        runs = live_runs(runs)
+        assert runs[0] is None
+        assert runs[1] is not None and runs[2] is not None
 
 
 def test_interrupt_after_every_point_still_identical(tmp_path, baseline):
@@ -86,28 +130,44 @@ def test_interrupt_after_every_point_still_identical(tmp_path, baseline):
     with pytest.raises(SweepInterrupted):
         run(checkpoint_path=ckpt, resume=True, on_point=interrupt_after(1))
     resumed, _ = run(checkpoint_path=ckpt, resume=True)
-    assert json.dumps(resumed.to_dict()) == json.dumps(baseline.to_dict())
+    assert dumped(resumed) == baseline
 
 
-def test_parallel_sweep_resume_identical(tmp_path, baseline):
+def test_parallel_sweep_resume_identical(tmp_path, baselines):
     """Checkpointed points restore identically into a pooled sweep."""
-    ckpt = tmp_path / "sweep.ckpt"
-    with pytest.raises(SweepInterrupted):
-        run(checkpoint_path=ckpt, on_point=interrupt_after(1))
-    resumed, _ = run(checkpoint_path=ckpt, resume=True, workers=2)
-    assert json.dumps(resumed.to_dict()) == json.dumps(baseline.to_dict())
+    for runner in RUNNERS:
+        ckpt = tmp_path / f"{runner}.ckpt"
+        with pytest.raises(SweepInterrupted):
+            run(runner=runner, checkpoint_path=ckpt, on_point=interrupt_after(1))
+        resumed, _ = run(runner=runner, checkpoint_path=ckpt, resume=True, workers=2)
+        assert dumped(resumed) == baselines(runner), runner
 
 
 def test_fingerprint_mismatch_rejected(tmp_path):
-    ckpt = tmp_path / "sweep.ckpt"
+    for runner in RUNNERS:
+        ckpt = tmp_path / f"{runner}.ckpt"
+        with pytest.raises(SweepInterrupted):
+            run(runner=runner, checkpoint_path=ckpt, on_point=interrupt_after(1))
+        # Same checkpoint, different seed: incomparable points.
+        with pytest.raises(ValueError, match="fingerprint does not match"):
+            run(runner=runner, checkpoint_path=ckpt, resume=True, seed=2)
+        # Different grid is just as incomparable.
+        with pytest.raises(ValueError, match="fingerprint does not match"):
+            run(runner=runner, rates=[2e4, 1e6], checkpoint_path=ckpt, resume=True)
+
+
+def test_cluster_layer_change_rejected_on_resume(tmp_path):
+    """The fleet shape is part of a cluster sweep's identity: a resume
+    under a different balancer (which the provenance block does not
+    record) must not splice its points in."""
+    ckpt = tmp_path / "cluster.ckpt"
     with pytest.raises(SweepInterrupted):
-        run(checkpoint_path=ckpt, on_point=interrupt_after(1))
-    # Same checkpoint, different seed: incomparable points.
+        run(runner="cluster", checkpoint_path=ckpt, on_point=interrupt_after(1))
+    moved = ClusterConfig(
+        replicas=(1, 2), policies=("replicated",), balancer="least_loaded"
+    )
     with pytest.raises(ValueError, match="fingerprint does not match"):
-        run(checkpoint_path=ckpt, resume=True, seed=2)
-    # Different grid is just as incomparable.
-    with pytest.raises(ValueError, match="fingerprint does not match"):
-        run(rates=[2e4, 1e6], checkpoint_path=ckpt, resume=True)
+        run(runner="cluster", cluster=moved, checkpoint_path=ckpt, resume=True)
 
 
 def test_torn_final_line_tolerated(tmp_path, baseline):
@@ -121,7 +181,7 @@ def test_torn_final_line_tolerated(tmp_path, baseline):
     assert data.endswith(b"\n")
     ckpt.write_bytes(data[:-40])  # tear the second point's record
     resumed, runs = run(checkpoint_path=ckpt, resume=True)
-    assert json.dumps(resumed.to_dict()) == json.dumps(baseline.to_dict())
+    assert dumped(resumed) == baseline
     assert runs[1] is not None  # the torn point was rerun
 
 
@@ -144,10 +204,12 @@ def test_bad_checkpoint_documents_rejected(tmp_path):
         run(checkpoint_path=fingerprint_probe, on_point=interrupt_after(1))
     header = json.loads(fingerprint_probe.read_text().splitlines()[0])
 
-    bad_version = tmp_path / "v.ckpt"
-    bad_version.write_text(json.dumps({**header, "version": 99}) + "\n")
-    with pytest.raises(ValueError, match="format version"):
-        load_checkpoint(bad_version, header["fingerprint"])
+    # Version 1 is the stale rate-keyed line format, before grid keys.
+    for version in (1, 99):
+        bad_version = tmp_path / "v.ckpt"
+        bad_version.write_text(json.dumps({**header, "version": version}) + "\n")
+        with pytest.raises(ValueError, match="format version"):
+            load_checkpoint(bad_version, header["fingerprint"])
 
     bad_kind = tmp_path / "k.ckpt"
     bad_kind.write_text(json.dumps({**header, "kind": "other"}) + "\n")
@@ -164,30 +226,53 @@ def test_failed_point_is_isolated(tmp_path):
     """One grid point whose run raises becomes a ``failed`` point; the
     rest of the grid completes and the failure is checkpointed so
     resume does not retry it."""
-    # rate=0 makes RequestGenerator raise -- a deterministic per-point
-    # failure with no monkeypatching.
+    # rate=0 makes request generation raise -- a deterministic
+    # per-point failure with no monkeypatching.
     rates = [0.0, 1e6, 4e6]
-    result, runs = run(rates=rates)
-    assert result.points[0].failed
-    assert "rate must be positive" in result.points[0].error
-    assert runs[0] is None
-    assert not result.points[1].failed and not result.points[2].failed
-    assert result.points[1].converged
+    for runner in RUNNERS:
+        result, runs = run(runner=runner, rates=rates)
+        for points in curves(result):
+            assert points[0].failed, runner
+            assert "rate must be positive" in points[0].error
+            assert not points[1].failed and not points[2].failed
+            assert points[1].converged
+        assert live_runs(runs)[0] is None
 
-    # Failed points ride checkpoints like any other point.
-    ckpt = tmp_path / "sweep.ckpt"
-    with pytest.raises(SweepInterrupted):
-        run(rates=rates, checkpoint_path=ckpt, on_point=interrupt_after(2))
-    resumed, resumed_runs = run(rates=rates, checkpoint_path=ckpt, resume=True)
-    assert json.dumps(resumed.to_dict()) == json.dumps(result.to_dict())
-    assert resumed_runs[0] is None and resumed_runs[1] is None
+        # Failed points ride checkpoints like any other point.
+        ckpt = tmp_path / f"{runner}.ckpt"
+        with pytest.raises(SweepInterrupted):
+            run(
+                runner=runner, rates=rates, checkpoint_path=ckpt,
+                on_point=interrupt_after(2),
+            )
+        resumed, resumed_runs = run(
+            runner=runner, rates=rates, checkpoint_path=ckpt, resume=True
+        )
+        assert dumped(resumed) == dumped(result), runner
+        resumed_runs = live_runs(resumed_runs)
+        assert resumed_runs[0] is None and resumed_runs[1] is None
 
 
 def test_failed_point_isolated_in_pool(tmp_path):
     rates = [0.0, 1e6, 4e6]
-    serial, _ = run(rates=rates)
-    pooled, _ = run(rates=rates, workers=2)
-    assert json.dumps(pooled.to_dict()) == json.dumps(serial.to_dict())
+    for runner in RUNNERS:
+        serial, _ = run(runner=runner, rates=rates)
+        pooled, _ = run(runner=runner, rates=rates, workers=2)
+        assert dumped(pooled) == dumped(serial), runner
+
+
+@pytest.mark.parametrize("runner", RUNNERS)
+def test_given_slo_survives_all_failed_grid(runner):
+    """A user-given SLO threshold is recorded even when no point
+    produced a latency to read capacity from; without one, the
+    threshold stays unset."""
+    given, _ = run(runner=runner, rates=[0.0], slo_p99_seconds=0.005)
+    assert all(points[0].failed for points in curves(given))
+    assert given.slo_p99_seconds == 0.005
+    assert not given.slo_auto
+    auto, _ = run(runner=runner, rates=[0.0])
+    assert auto.slo_p99_seconds == 0.0
+    assert auto.slo_auto
 
 
 def test_checkpoint_removed_on_clean_completion(tmp_path):
@@ -215,4 +300,4 @@ def test_real_sigterm_mid_sweep_recovers(tmp_path, baseline):
     assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
     assert ckpt.exists()
     resumed, _ = run(checkpoint_path=ckpt, resume=True)
-    assert json.dumps(resumed.to_dict()) == json.dumps(baseline.to_dict())
+    assert dumped(resumed) == baseline
