@@ -3,7 +3,8 @@
 Every bench regenerates one table or figure of the paper: it computes
 the same rows/series the paper reports, prints them (run with ``-s``
 to see them inline), writes them to ``benchmarks/results/``, and
-asserts the paper's qualitative shape.
+asserts the paper's qualitative shape.  The tables are committed, and
+CI fails if a tier-1 run changes any of them.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """The NDP GEMM engine: cycle-level timing plus functional execution.
 
 This is the "cycle-level expert computation simulator" of Section 4.1:
-it walks the output-stationary tile schedule, charging each tile
+it costs the output-stationary tile schedule of
+:class:`~repro.ndp.tiling.OutputStationaryTiler`, charging each tile
 
 - compute cycles on the systolic cluster (K + pipeline skew), and
 - memory cycles against the device's DRAM bandwidth (as calibrated by
@@ -10,6 +11,18 @@ it walks the output-stationary tile schedule, charging each tile
 overlapping the two under double buffering: the engine's total is the
 pipelined makespan  fill + sum(max(compute_i, mem_i)) + drain, exactly
 the behaviour of an operand-prefetching tile pipeline.
+
+The sum is taken in closed form rather than tile by tile.  Tiles come
+in at most 12 distinct kinds -- n-stripe width (full or ragged last) x
+k-chunk (inner, or the last, which also writes outputs back) x
+m-stripe (first, which fetches the weight chunk; full rest; ragged
+last) -- so each kind is costed once and weighted by its count, and
+the cost of one GEMM does not grow with its shape.  Each engine also
+memoizes its results by (m, n, k): an engine is immutable after
+construction, and a serving or figure sweep asks for a few hundred
+shapes tens of thousands of times.  The tile stream itself
+(``OutputStationaryTiler.tiles``) is the executable spec the tests
+compare the closed form against, field for field.
 
 For the paper's dimensions the design point is rate-matched: a 4x256
 stripe needs K compute cycles and K*256*2 bytes of weights, which at
@@ -86,6 +99,7 @@ class NDPGemmEngine:
         )
         #: Bytes the DRAM can stream per NDP clock cycle.
         self.bytes_per_cycle = mem_bandwidth / spec.clock_hz
+        self._memo: dict[tuple[int, int, int], GEMMExecution] = {}
 
     @classmethod
     def from_dram(
@@ -115,57 +129,69 @@ class NDPGemmEngine:
     def gemm_execution(self, m: int, n: int, k: int) -> GEMMExecution:
         """Cycle-level timing for C[m,n] = A[m,k] @ B[k,n].
 
-        Walks the tile schedule in grouped form: within one
-        (n-stripe, k-chunk) the m-stripe tiles are identical except for
-        the first (which also fetches the weight chunk) and a possible
-        ragged last stripe, so each group is costed once and
-        multiplied.  Identical in result to iterating
-        ``self.tiler.tiles`` tile by tile, but O(n/256 * k/chunk).
+        Exactly the cost of iterating ``self.tiler.tiles(m, n, k)`` tile
+        by tile, computed in closed form (see the module docstring) and
+        memoized per engine, so a repeated shape returns the same
+        object.  Negative dimensions raise ``ValueError``.
         """
+        if min(m, n, k) < 0:
+            raise ValueError(f"GEMM dims must be non-negative, got {(m, n, k)}")
+        key = (m, n, k)
+        execution = self._memo.get(key)
+        if execution is None:
+            execution = self._memo[key] = self._schedule_cost(m, n, k)
+        return execution
+
+    def _schedule_cost(self, m: int, n: int, k: int) -> GEMMExecution:
         if m == 0 or n == 0 or k == 0:
             return GEMMExecution(m, n, k, 0, 0, 0, 0, 0, 0.0)
         dt = self.tiler.dtype_bytes
         rows = self.tiler.tile_rows
+        cols = self.tiler.tile_cols
         bpc = self.bytes_per_cycle
 
-        def mem_cycles(nbytes: int) -> int:
-            return int(np.ceil(nbytes / bpc))
-
-        n_full_m, m_rem = divmod(m, rows)
-        m_stripes = n_full_m + (1 if m_rem else 0)
+        # (count, width) of the n-stripes, and (count, height, fetches
+        # the weight chunk) of the m-stripes, in schedule order.
+        n_stripes = -(-n // cols)
+        widths = ((n_stripes - 1, cols), (1, n - (n_stripes - 1) * cols))
+        m_stripes = -(-m // rows)
+        if m_stripes == 1:
+            heights: tuple[tuple[int, int, bool], ...] = ((1, m, True),)
+        else:
+            last_rows = m - (m_stripes - 1) * rows
+            heights = (
+                (1, rows, True),
+                (m_stripes - 2, rows, False),
+                (1, last_rows, False),
+            )
 
         compute_total = 0
         mem_total = 0
         pipelined = 0
         dram_bytes = 0
         n_tiles = 0
-        first_mem = 0
-        for n0 in range(0, n, self.tiler.tile_cols):
-            nn = min(self.tiler.tile_cols, n - n0)
+        first_mem = None
+        for n_count, nn in widths:
             chunk = self.tiler.k_chunk(nn)
             n_chunks = -(-k // chunk)
-            for ki, k0 in enumerate(range(0, k, chunk)):
-                kk = min(chunk, k - k0)
-                last_chunk = ki == n_chunks - 1
+            # (count, depth, writes outputs back): the inner chunks,
+            # then the last one.
+            last_depth = k - (n_chunks - 1) * chunk
+            depths = ((n_chunks - 1, chunk, False), (1, last_depth, True))
+            for k_count, kk, last_chunk in depths:
                 compute_cycles = self.cluster.stripe_cycles(kk)
-                # Tile variants within this (n-stripe, k-chunk) group.
-                variants: list[tuple[int, int, int]] = []  # (count, mm, wgt)
-                wgt = kk * nn * dt
-                if m_stripes == 1:
-                    variants.append((1, m, wgt))
-                else:
-                    variants.append((1, rows, wgt))
-                    full_rest = n_full_m - 1
-                    if full_rest > 0:
-                        variants.append((full_rest, rows, 0))
-                    if m_rem:
-                        variants.append((1, m_rem, 0))
-                for count, mm, wgt_bytes in variants:
-                    act = mm * kk * dt
-                    out = mm * nn * dt if last_chunk else 0
-                    tile_bytes = act + wgt_bytes + out
-                    mc = mem_cycles(tile_bytes)
-                    if n_tiles == 0:
+                for m_count, mm, fetches in heights:
+                    count = n_count * k_count * m_count
+                    if count == 0:
+                        continue
+                    tile_bytes = mm * kk * dt
+                    if fetches:
+                        tile_bytes += kk * nn * dt
+                    if last_chunk:
+                        tile_bytes += mm * nn * dt
+                    mc = int(np.ceil(tile_bytes / bpc))
+                    if first_mem is None:
+                        # The first tile: stripe 0, chunk 0, m-stripe 0.
                         first_mem = mc
                     compute_total += count * compute_cycles
                     mem_total += count * mc
@@ -196,6 +222,8 @@ class NDPGemmEngine:
     def expert_ffn_time(self, tokens: int, d_model: int, d_ff: int) -> float:
         """Seconds for one expert FFN (gemm + gemm+relu kernels) over
         ``tokens`` routed tokens, including the NDP dispatch overhead."""
+        if tokens < 0:
+            raise ValueError(f"token count must be non-negative, got {tokens}")
         if tokens == 0:
             return 0.0
         t1 = self.gemm_time(tokens, d_ff, d_model)

@@ -1,12 +1,15 @@
 """NDP GEMM engine: cycle model + functional execution."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hw.specs import MONDE_DEVICE
-from repro.ndp.engine import NDPGemmEngine
+from repro.ndp.engine import GEMMExecution, NDPGemmEngine
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +42,121 @@ def test_grouped_matches_tile_stream(engine):
         assert ex.memory_cycles == mem
         assert ex.pipelined_cycles == first + pipe
         assert ex.dram_bytes == traffic
+
+
+def _tile_by_tile(engine: NDPGemmEngine, m: int, n: int, k: int) -> GEMMExecution:
+    """The oracle: cost ``engine.tiler.tiles`` one tile at a time."""
+    comp = mem = pipe = traffic = n_tiles = first = 0
+    for t in engine.tiler.tiles(m, n, k):
+        c = engine.cluster.stripe_cycles(t.k)
+        b = t.act_bytes + t.wgt_bytes + t.out_bytes
+        mc = int(np.ceil(b / engine.bytes_per_cycle))
+        if n_tiles == 0:
+            first = mc
+        comp += c
+        mem += mc
+        pipe += max(c, mc)
+        traffic += b
+        n_tiles += 1
+    total = first + pipe
+    seconds = total / engine.spec.clock_hz
+    return GEMMExecution(m, n, k, n_tiles, comp, mem, total, traffic, seconds)
+
+
+def _near(unit: int):
+    """Sizes on and either side of multiples of ``unit``, plus any
+    size up to three units and a bit."""
+    edges = [1, unit - 1, unit, unit + 1, 2 * unit, 2 * unit + 1]
+    return st.one_of(
+        st.sampled_from([e for e in edges if e >= 1]), st.integers(1, 3 * unit + 1)
+    )
+
+
+@st.composite
+def _engine_and_shape(draw):
+    if draw(st.booleans()):
+        engine = NDPGemmEngine(MONDE_DEVICE.ndp, MONDE_DEVICE.effective_bandwidth)
+    else:
+        spec = replace(
+            MONDE_DEVICE.ndp,
+            n_arrays=draw(st.integers(1, 64)),
+            array_rows=draw(st.integers(1, 8)),
+            array_cols=draw(st.integers(1, 8)),
+            exp_buffer_bytes=draw(st.integers(1, 128 * 1024)),
+        )
+        bandwidth = draw(st.floats(1e8, 2e12, allow_nan=False, allow_infinity=False))
+        dtype_bytes = draw(st.sampled_from([1, 2, 3, 4]))
+        engine = NDPGemmEngine(spec, bandwidth, dtype_bytes=dtype_bytes)
+    tiler = engine.tiler
+    m = draw(_near(tiler.tile_rows))
+    n = draw(_near(tiler.tile_cols))
+    k = draw(_near(tiler.k_chunk(min(n, tiler.tile_cols))))
+    return engine, m, n, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_engine_and_shape())
+def test_closed_form_equals_tile_stream_property(case):
+    """Every field, ``seconds`` included, is exactly the tile-by-tile
+    cost, across geometries and shapes straddling every tile and
+    k-chunk boundary."""
+    engine, m, n, k = case
+    assert engine.gemm_execution(m, n, k) == _tile_by_tile(engine, m, n, k)
+
+
+@pytest.mark.parametrize(
+    "m, n, k",
+    [(1, 256, 88), (1, 256, 89), (4, 100, 1), (1, 255, 450), (5, 513, 177)],
+)
+def test_closed_form_equals_tile_stream_at_chunk_edges(engine, m, n, k):
+    """The default design point's chunk is 88 deep at full width:
+    ``k == chunk``, ``chunk + 1``, ``n < tile_cols`` and ``m == 1``."""
+    assert engine.tiler.k_chunk(engine.tiler.tile_cols) == 88
+    assert engine.gemm_execution(m, n, k) == _tile_by_tile(engine, m, n, k)
+
+
+def test_repeated_shape_returns_cached_object(engine):
+    first = engine.gemm_execution(3, 2048, 8192)
+    assert engine.gemm_execution(3, 2048, 8192) is first
+
+
+def test_engines_do_not_share_memo_entries():
+    slow = NDPGemmEngine(MONDE_DEVICE.ndp, MONDE_DEVICE.effective_bandwidth)
+    fast = NDPGemmEngine(MONDE_DEVICE.ndp, 2 * MONDE_DEVICE.effective_bandwidth)
+    a = slow.gemm_execution(4, 2048, 8192)
+    b = fast.gemm_execution(4, 2048, 8192)
+    assert a.memory_cycles > b.memory_cycles
+    assert a.seconds > b.seconds
+    assert slow.gemm_execution(4, 2048, 8192) is a
+
+
+@pytest.mark.parametrize("shape", [(0, 10, 10), (3, 0, 7), (3, 7, 0), (0, 0, 0)])
+def test_zero_dimension_is_all_zero(engine, shape):
+    for _ in range(2):  # computed, then served from the memo
+        assert engine.gemm_execution(*shape) == GEMMExecution(
+            *shape, 0, 0, 0, 0, 0, 0.0
+        )
+
+
+@pytest.mark.parametrize("shape", [(1, 256, 64), (7, 300, 129), (33, 768, 200)])
+def test_tiler_counts_match_execution(engine, shape):
+    ex = engine.gemm_execution(*shape)
+    assert engine.tiler.count_tiles(*shape) == ex.n_tiles
+    assert engine.tiler.total_traffic_bytes(*shape) == ex.dram_bytes
+
+
+@pytest.mark.parametrize("shape", [(-1, 256, 64), (4, -1, 64), (4, 256, -2)])
+def test_negative_gemm_dims_rejected(shape):
+    engine = NDPGemmEngine(MONDE_DEVICE.ndp, MONDE_DEVICE.effective_bandwidth)
+    for _ in range(2):  # an invalid shape is never cached
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            engine.gemm_execution(*shape)
+    assert shape not in engine._memo
+
+
+def test_negative_tokens_rejected(engine):
+    with pytest.raises(ValueError, match="-3"):
+        engine.expert_ffn_time(-3, 2048, 8192)
 
 
 def test_cold_expert_is_bandwidth_bound(engine):
