@@ -413,6 +413,7 @@ def _run_cluster_point(
     seed: int,
     cluster: ClusterConfig,
     traffic=None,
+    isolation_memo=None,
 ) -> tuple[SweepPoint, Optional[CosimResult]]:
     """One (curve, rate) point: generate the offered load, balance it,
     run each replica's closed loop, merge.  The cluster point function
@@ -441,7 +442,13 @@ def _run_cluster_point(
             dram_workers=loop.dram_workers,
         )
         driver = CosimDriver(
-            cost_model, scheme, planner, serving=serving, loop=loop, backend=backend
+            cost_model,
+            scheme,
+            planner,
+            serving=serving,
+            loop=loop,
+            backend=backend,
+            isolation_memo=isolation_memo,
         )
         try:
             runs.append(driver.run(subset))

@@ -29,6 +29,17 @@ the phases by their share of its traffic.  All knobs come from the
 experiment config layers :class:`~repro.experiments.config.
 ServingConfig` and :class:`~repro.experiments.config.LoopConfig`.
 
+The isolation baseline serializes the trace's requests far enough
+apart that they cannot overlap and drains that stream through the
+backend's ``simulate_isolated``: segment by segment, one segment per
+request, with an exact memo (:mod:`repro.dram.segments`).  Requests
+whose content (addresses, flags, relative arrival offsets) and
+starting open rows already drained -- in an earlier iteration, or at
+an earlier rate point of the same sweep -- are not drained again, and
+the baseline is bit-identical to draining the whole serialized stream
+at once.  A sweep shares one memo across its points; a driver built
+without one gets its own.
+
 At low offered load bursts never overlap, contention is zero, and the
 loop converges immediately to the open-loop result; near saturation
 the surcharge spreads service starts until the serving layer's issue
@@ -46,6 +57,12 @@ import numpy as np
 from repro.core.strategies import Scheme
 from repro.dram.config import DRAMConfig, DRAMOrganization, LPDDR5X_8533
 from repro.dram.controller import ControllerStats, MemoryController
+from repro.dram.segments import (
+    ControllerSpec,
+    SegmentMemo,
+    drain_segments,
+    segment_starts,
+)
 from repro.serving.engine import BatchConfig, BatchingEngine, PhaseCostModel
 from repro.serving.simulator import CostModel, ServingResult, ServingSimulator
 from repro.serving.workload import Request
@@ -89,6 +106,14 @@ class SingleDeviceBackend:
     - ``simulate(addrs, arrive_cycles, flags, request_ids=None)`` ->
       ``(ControllerStats, RequestTimings)`` with per-element timings in
       input order;
+    - ``simulate_isolated(addrs, arrive_cycles, flags, request_ids,
+      memo)`` -> per-element completion cycles in input order for a
+      serialized isolation stream: each contiguous run of
+      ``request_ids`` is one segment of
+      :func:`~repro.dram.segments.drain_segments`, looked up in and
+      stored to the :class:`~repro.dram.segments.SegmentMemo`
+      ``memo``; always drained in-process, and exactly equal to
+      ``simulate`` on the same stream;
     - ``transfer_seconds(trace)`` -> per-request inter-device transfer
       seconds (``{}`` when nothing crosses a device boundary -- the
       single-device case by construction);
@@ -120,6 +145,18 @@ class SingleDeviceBackend:
         )
         return controller.simulate_arrays(
             addrs, arrive_cycles, flags, detail=True
+        )
+
+    def simulate_isolated(self, addrs, arrive_cycles, flags, request_ids, memo):
+        """Completion cycles of a serialized isolation stream, one
+        segment per request run, through ``memo``."""
+        return drain_segments(
+            ControllerSpec(self.config, window=self.window),
+            addrs,
+            arrive_cycles,
+            flags,
+            segment_starts(request_ids),
+            memo,
         )
 
     def transfer_seconds(self, trace) -> dict[int, float]:
@@ -312,7 +349,8 @@ class _BatchingEstimator:
     traffic; each phase runs its own surcharge search.  The baseline
     is recalibrated every iteration: decode-burst traffic and arrival
     offsets depend on the step batch composition, which shifts as the
-    surcharges reshape the serving timeline.
+    surcharges reshape the serving timeline.  Requests whose traffic
+    did not change are served from the driver's isolation memo.
     """
 
     n_surcharges = 2
@@ -414,6 +452,10 @@ class CosimDriver:
     picks the engine and its admission knobs; ``loop``
     (:class:`~repro.experiments.config.LoopConfig`) holds the
     fixed-point knobs and the DRAM scheduler window / drain workers.
+    ``isolation_memo`` (:class:`~repro.dram.segments.SegmentMemo`)
+    holds the isolation-baseline segments already drained; a sweep
+    shares one across its points, and a driver built without one gets
+    a private memo.
     """
 
     def __init__(
@@ -424,6 +466,7 @@ class CosimDriver:
         serving=None,
         loop=None,
         backend=None,
+        isolation_memo: Optional[SegmentMemo] = None,
     ) -> None:
         self.cost_model = cost_model
         self.scheme = scheme
@@ -441,6 +484,11 @@ class CosimDriver:
             self._owns_backend = False
         self.backend = backend
         self._iso_cache: dict[int, int] = {}
+        #: isolation segments already drained; exact, so it may be
+        #: shared by every driver of one sweep
+        self.isolation_memo = (
+            SegmentMemo() if isolation_memo is None else isolation_memo
+        )
 
     def close(self) -> None:
         """Shut down the DRAM backend's worker pool, when the driver
@@ -481,39 +529,48 @@ class CosimDriver:
         contention = np.maximum(makespans - iso_arr, 0).astype(np.float64)
         return uniq, self._transfer_surcharge(trace, contention, uniq)
 
-    def _isolated_makespans(
-        self, trace: ReplayTrace, ids: Optional[np.ndarray] = None
-    ) -> dict[int, int]:
-        """Makespan of each burst when it has the memory system to
-        itself: the same addresses, with bursts serialized far enough
-        apart that they can never overlap.  The difference between an
-        iteration's measured makespan and this baseline is pure
-        cross-burst contention.  Bursts are the contiguous runs of
-        ``ids`` (the trace's request ids by default; phase-aware
-        traces pass their finer-grained ``burst_ids``)."""
+    def _isolated_completions(
+        self, trace: ReplayTrace, offsets: bool
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(arrive, complete, run_starts)`` of the trace serialized
+        for isolation: each contiguous request run has the memory
+        system to itself, far enough after the previous run that the
+        two can never overlap.  ``offsets`` keeps each run's real
+        relative arrival offsets; otherwise its elements arrive
+        together.  Drained by the backend's ``simulate_isolated``
+        through the driver's segment memo."""
         t = self.planner.config.timing
         # Loose per-access upper bound (full row cycle + read latency
-        # + data) so consecutive bursts cannot interact; idle-gap
+        # + data) so consecutive runs cannot interact; idle-gap
         # jumping makes the stretched timeline free to simulate.
         per_access = t.tRC + t.tCL + t.burst_cycles + 2
-        if ids is None:
-            ids = trace.request_ids
-        boundaries = np.flatnonzero(np.diff(ids)) + 1
-        run_starts = np.concatenate(([0], boundaries))
-        run_lengths = np.diff(np.concatenate((run_starts, [len(ids)])))
-        gaps = run_lengths * per_access + 64
-        run_arrivals = np.concatenate(([0], np.cumsum(gaps)[:-1]))
-        arrive = np.repeat(run_arrivals, run_lengths)
-        _, timings = self.backend.simulate(
-            trace.addrs, arrive, trace.flags, trace.request_ids
+        rids = trace.request_ids
+        starts = segment_starts(rids)
+        lengths = np.diff(np.append(starts, len(rids)))
+        if offsets:
+            rel = trace.arrive_cycles - np.repeat(trace.arrive_cycles[starts], lengths)
+            last = rel[starts + lengths - 1]
+        else:
+            rel = np.zeros(len(rids), dtype=np.int64)
+            last = 0
+        gaps = last + lengths * per_access + 64
+        bases = np.concatenate(([0], np.cumsum(gaps)[:-1]))
+        arrive = np.repeat(bases, lengths) + rel
+        complete = self.backend.simulate_isolated(
+            trace.addrs, arrive, trace.flags, rids, self.isolation_memo
         )
-        makespans = np.zeros(len(run_starts), dtype=np.int64)
-        complete = timings.complete_cycles
-        for i, (lo, ln) in enumerate(zip(run_starts.tolist(), run_lengths.tolist())):
-            makespans[i] = int(complete[lo : lo + ln].max() - arrive[lo])
-        return {
-            int(ids[lo]): int(mk) for lo, mk in zip(run_starts.tolist(), makespans)
-        }
+        return arrive, complete, starts
+
+    def _isolated_makespans(self, trace: ReplayTrace) -> dict[int, int]:
+        """Makespan of each request's burst when it has the memory
+        system to itself: the same addresses, with bursts serialized
+        far enough apart that they can never overlap.  The difference
+        between an iteration's measured makespan and this baseline is
+        pure cross-burst contention."""
+        arrive, complete, starts = self._isolated_completions(trace, offsets=False)
+        makespans = np.maximum.reduceat(complete, starts) - arrive[starts]
+        ids = trace.request_ids[starts]
+        return {int(r): int(mk) for r, mk in zip(ids.tolist(), makespans.tolist())}
 
     def _isolated_element_latencies(self, trace: ReplayTrace) -> np.ndarray:
         """Per-element DRAM latencies when each REQUEST has the memory
@@ -524,22 +581,8 @@ class CosimDriver:
         part of the baseline, and the difference from a measured
         latency is cross-request interference only -- the same
         quantity the fifo estimator's per-request baseline measures."""
-        t = self.planner.config.timing
-        per_access = t.tRC + t.tCL + t.burst_cycles + 2
-        rids = trace.request_ids
-        boundaries = np.flatnonzero(np.diff(rids)) + 1
-        run_starts = np.concatenate(([0], boundaries))
-        run_ends = np.concatenate((boundaries, [len(rids)]))
-        arrive = np.empty(len(rids), dtype=np.int64)
-        base = 0
-        for lo, hi in zip(run_starts.tolist(), run_ends.tolist()):
-            offsets = trace.arrive_cycles[lo:hi] - trace.arrive_cycles[lo]
-            arrive[lo:hi] = base + offsets
-            base += int(offsets[-1]) + (hi - lo) * per_access + 64
-        _, timings = self.backend.simulate(
-            trace.addrs, arrive, trace.flags, trace.request_ids
-        )
-        return timings.complete_cycles - arrive
+        arrive, complete, _ = self._isolated_completions(trace, offsets=True)
+        return complete - arrive
 
     def _isolation_baseline(self, trace: ReplayTrace) -> dict[int, int]:
         stable = getattr(self.planner, "stable_addresses", True)

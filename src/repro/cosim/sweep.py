@@ -39,6 +39,7 @@ from typing import Callable, Optional
 
 from repro.analysis.report import format_table
 from repro.core.strategies import Scheme
+from repro.dram.segments import SegmentMemo
 from repro.serving.simulator import CostModel
 from repro.serving.workload import RequestGenerator
 from repro.util.atomic_io import atomic_write_json, durable_append
@@ -349,6 +350,7 @@ def _run_rate_point(
     n_requests: int,
     seed: int,
     traffic=None,
+    isolation_memo=None,
 ) -> tuple[SweepPoint, CosimResult]:
     """Run the closed loop at one offered-load point.
 
@@ -356,7 +358,9 @@ def _run_rate_point(
     module-level and built only from picklable pieces, so grid points
     can fan out over a process pool.  Each point builds its own
     generator and driver from the same seed, so results are identical
-    whether points run serially, in parallel, or in any order.
+    whether points run serially, in parallel, or in any order.  The
+    sweep's ``isolation_memo`` is exact, so what earlier points left in
+    it changes no result.
 
     With ``planner=None`` the point runs serving-only (open loop, no
     DRAM feedback): the configured engine's estimator serves the rate
@@ -374,7 +378,14 @@ def _run_rate_point(
             closed_loop=result,
         )
     else:
-        driver = CosimDriver(cost_model, scheme, planner, serving=serving, loop=loop)
+        driver = CosimDriver(
+            cost_model,
+            scheme,
+            planner,
+            serving=serving,
+            loop=loop,
+            isolation_memo=isolation_memo,
+        )
         try:
             run = driver.run(requests)
         finally:
@@ -557,10 +568,15 @@ def run_sweep_grid(
     sweep's one curve) to an object with ``points`` and
     ``slo_capacity_rps``.  Each point runs the module-level
     ``point_fn(*curve_key, rate, **point_kwargs)``, which returns
-    ``(SweepPoint, CosimResult or None)``.  ``result`` is the document
-    being filled: its header fingerprints the checkpoint, and it
-    receives the SLO threshold.  Returns the live :class:`CosimResult`
-    of every freshly run point by grid key (``curve_key + (rate,)``).
+    ``(SweepPoint, CosimResult or None)``.  ``point_kwargs`` gains an
+    ``isolation_memo``: one :class:`~repro.dram.segments.SegmentMemo`
+    per call, handed to every point's driver (a pooled point gets its
+    own copy), so the isolation baselines of one sweep drain each
+    distinct request once while separate sweeps share nothing.
+    ``result`` is the document being filled: its header fingerprints
+    the checkpoint, and it receives the SLO threshold.  Returns the
+    live :class:`CosimResult` of every freshly run point by grid key
+    (``curve_key + (rate,)``).
 
     ``workers`` >= 2 runs the (independent) grid points over a process
     pool instead of serially -- each worker gets its own pickled copy
@@ -616,6 +632,9 @@ def run_sweep_grid(
                 )
     todo = [key for key in grid if key not in done]
     runs: dict[tuple, CosimResult] = {}
+    # One isolation memo per sweep: exact, so sharing it across points
+    # changes no result, and a fresh one per call keeps runs apart.
+    point_kwargs = {**point_kwargs, "isolation_memo": SegmentMemo()}
     use_pool = workers >= 2 and len(todo) >= 2
     if use_pool:
         point_kwargs = {

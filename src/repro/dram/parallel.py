@@ -56,6 +56,7 @@ from __future__ import annotations
 import logging
 import multiprocessing
 import pickle
+import signal
 import time
 from dataclasses import dataclass
 from multiprocessing import shared_memory
@@ -175,6 +176,17 @@ class ChannelState:
             bank.earliest_pre = epre
             bank.earliest_col = ecol
             bank.row_hits = hits
+
+
+def _reset_worker_signals() -> None:
+    """Pool initializer: restore default SIGINT/SIGTERM handling.
+
+    Forked workers inherit the parent's handlers -- including a
+    sweep's interrupt handler, which raises on SIGTERM.  The pool
+    SIGTERMs its workers on shutdown, and an inherited raising
+    handler turns that into a traceback on stderr."""
+    for sig in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(sig, signal.SIG_DFL)
 
 
 #: Worker-process cache: one controller per distinct parameter blob,
@@ -329,7 +341,9 @@ class ParallelDrainExecutor:
 
     def _ensure_pool(self):
         if self._pool is None:
-            self._pool = self._ctx.Pool(self.workers)
+            self._pool = self._ctx.Pool(
+                self.workers, initializer=_reset_worker_signals
+            )
         return self._pool
 
     def _pool_pids(self) -> Optional[frozenset]:

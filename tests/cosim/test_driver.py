@@ -7,6 +7,7 @@ open-loop p99 (the feedback the open-loop replay cannot produce), and
 the loop reports convergence within its iteration budget.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.strategies import Scheme
@@ -16,7 +17,9 @@ from repro.cosim import (
     SyntheticReplayPlanner,
     small_cosim_dram,
 )
-from repro.experiments import LoopConfig
+from repro.cosim.driver import make_estimator
+from repro.dram.controller import MemoryController
+from repro.experiments import LoopConfig, ServingConfig
 from repro.serving.simulator import CostModel
 from repro.serving.workload import RequestGenerator
 
@@ -208,3 +211,53 @@ def test_converged_run_residual_within_tolerance(parts):
     assert result.residual_seconds_per_token == abs(
         last.measured_seconds_per_token - last.extra_seconds_per_token
     )
+
+
+def _serialized_reference(driver, trace, offsets):
+    """The isolation serializer as a plain loop over request runs,
+    drained in one cold ``simulate_arrays`` call: the reference both
+    memoized isolation baselines are pinned to."""
+    t = driver.planner.config.timing
+    per_access = t.tRC + t.tCL + t.burst_cycles + 2
+    rids = trace.request_ids
+    bounds = (np.flatnonzero(np.diff(rids)) + 1).tolist()
+    runs = list(zip([0] + bounds, bounds + [len(rids)]))
+    arrive = np.empty(len(rids), dtype=np.int64)
+    base = 0
+    for lo, hi in runs:
+        rel = trace.arrive_cycles[lo:hi] - trace.arrive_cycles[lo]
+        if not offsets:
+            rel = np.zeros(hi - lo, dtype=np.int64)
+        arrive[lo:hi] = base + rel
+        base += int(rel[-1]) + (hi - lo) * per_access + 64
+    _, timings = MemoryController(driver.planner.config).simulate_arrays(
+        trace.addrs, arrive, trace.flags, detail=True
+    )
+    return runs, arrive, timings.complete_cycles
+
+
+def test_memoized_isolation_baselines_equal_one_cold_drain(parts):
+    cost, planner = parts
+    serving = ServingConfig(
+        engine="batching", mean_prompt_tokens=20, mean_decode_tokens=5
+    )
+    requests = RequestGenerator(
+        SATURATING_RATE, mean_prompt_tokens=20, mean_decode_tokens=5, seed=3
+    ).generate(30)
+    trace = planner.replay(make_estimator(cost, Scheme.MD_LB, serving).serve(requests))
+    assert trace.phases is not None
+    driver = CosimDriver(cost, Scheme.MD_LB, planner)
+
+    runs, arrive, complete = _serialized_reference(driver, trace, offsets=True)
+    assert np.any(arrive[1:] - arrive[:-1] > 0)
+    for _ in range(2):  # cold, then served from the driver's memo
+        latencies = driver._isolated_element_latencies(trace)
+        assert np.array_equal(latencies, complete - arrive)
+    assert driver.isolation_memo.hits >= len(runs)
+
+    runs, arrive, complete = _serialized_reference(driver, trace, offsets=False)
+    expected = {
+        int(trace.request_ids[lo]): int(complete[lo:hi].max() - arrive[lo])
+        for lo, hi in runs
+    }
+    assert driver._isolated_makespans(trace) == expected

@@ -1,6 +1,7 @@
 """Load-sweep runner: hockey stick, serialization, rendering."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -12,7 +13,14 @@ from repro.cosim import (
     run_load_sweep,
     small_cosim_dram,
 )
-from repro.experiments import LoopConfig, ServingConfig
+from repro.dram.segments import SegmentMemo
+from repro.experiments import (
+    LoopConfig,
+    ServingConfig,
+    build_components,
+    get_preset,
+    run_experiment,
+)
 from repro.serving.simulator import CostModel
 
 RATES = [2e4, 1e6, 4e6]
@@ -133,3 +141,50 @@ def test_workers_validation(sweep):
     )
     with pytest.raises(ValueError):
         run_load_sweep(cost, Scheme.MD_LB, planner, [1.0], workers=-1)
+
+
+def _recording_memos(monkeypatch):
+    """Every SegmentMemo a sweep creates, in creation order."""
+    import repro.cosim.sweep as sweep_module
+
+    memos = []
+
+    class RecordingMemo(SegmentMemo):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            memos.append(self)
+
+    monkeypatch.setattr(sweep_module, "SegmentMemo", RecordingMemo)
+    return memos
+
+
+def test_isolation_memo_is_scoped_to_one_sweep(monkeypatch):
+    """Each sweep starts with an empty isolation memo: two identical
+    sweeps in one process drain exactly the same segments."""
+    memos = _recording_memos(monkeypatch)
+    config = replace(get_preset("decode_heavy"), n_requests=20, rates=(1e5, 1e6))
+    cost, scheme, planner = build_components(config)
+    results = [
+        run_load_sweep(
+            cost, scheme, planner, list(config.rates),
+            n_requests=config.n_requests, seed=config.seed,
+            serving=config.serving, loop=config.loop,
+        )[0]
+        for _ in range(2)
+    ]
+    assert len(memos) == 2
+    first, second = memos
+    assert first.hits > 0 and first.misses > 0
+    counts = [(m.hits, m.misses, m.live, m.interleaved) for m in memos]
+    assert counts[0] == counts[1]
+    assert results[0].to_dict() == results[1].to_dict()
+
+
+def test_decode_heavy_json_identical_serial_and_pooled():
+    """The memo is exact, so a pooled sweep (one memo copy per point)
+    writes the same document as a serial one (one memo for the whole
+    grid)."""
+    config = get_preset("decode_heavy")
+    serial, _ = run_experiment(config, workers=0)
+    pooled, _ = run_experiment(config, workers=2)
+    assert json.dumps(serial.to_dict()) == json.dumps(pooled.to_dict())

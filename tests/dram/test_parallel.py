@@ -12,6 +12,7 @@ calls, and both pool start methods.
 from __future__ import annotations
 
 import os
+import signal
 from dataclasses import asdict
 
 import numpy as np
@@ -232,3 +233,29 @@ def test_executor_context_manager_reentry():
             controller = MemoryController(QUAD_CONFIG, executor=executor)
             assert asdict(controller.simulate_arrays(*cols)) == asdict(serial)
         assert executor._pool is None  # pool released on exit
+
+
+def _worker_signal_handlers():
+    return signal.getsignal(signal.SIGINT), signal.getsignal(signal.SIGTERM)
+
+
+def test_pool_workers_reset_inherited_signal_handlers():
+    """A forked worker must not inherit the parent's raising SIGTERM
+    handler (a checkpointed sweep installs one): the pool SIGTERMs its
+    workers on shutdown, which would print a traceback per worker."""
+
+    def _raise(signum, frame):
+        raise RuntimeError(f"signal {signum} reached a drain worker")
+
+    previous = [
+        (sig, signal.signal(sig, _raise)) for sig in (signal.SIGINT, signal.SIGTERM)
+    ]
+    executor = ParallelDrainExecutor(2, start_method="fork")
+    try:
+        pool = executor._ensure_pool()
+        handlers = pool.apply(_worker_signal_handlers)
+    finally:
+        for sig, handler in previous:
+            signal.signal(sig, handler)
+        executor.close()
+    assert handlers == (signal.SIG_DFL, signal.SIG_DFL)
