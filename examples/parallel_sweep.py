@@ -10,13 +10,11 @@ verifies the results match, and prints the wall-clock speedup.
 
 On a single-core container the "speedup" is below 1.0 (pool startup
 plus pickling with nothing to overlap); on an N-core box it
-approaches min(N, grid points).  A second lever, DRAM-level
-parallelism (`LoopConfig(dram_workers=N)` /
-`repro cosim --dram-workers N`), fans each replay's per-channel
-drains out instead -- useful when the grid is short but the DRAM
-config is wide.  The two compose only one at a time (pool workers
-cannot spawn nested pools), so pick the level that matches where the
-work is.
+approaches min(N, grid points).  `--workers` is the one parallelism
+knob: it runs the points when two or more remain, else the drains --
+a one-rate grid, a resume with one point left, or single-rate
+`repro cosim --workers N` fans that point's per-channel DRAM drains
+over the pool instead.
 
 Run:  python examples/parallel_sweep.py [--workers N]
 """

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from typing import Optional, Sequence
 
 from repro.analysis.area_power import AreaPowerModel
@@ -392,10 +393,6 @@ _SWEEP_FLAGS = {
             action="store_true",
             help="seeded synthetic weight regions instead of expert-faithful "
                  "replay")),
-        ("--dram-workers", "loop.dram_workers", dict(
-            type=int, metavar="N",
-            help="fan each DRAM replay's per-channel drains over an N-worker "
-                 "pool (bit-identical stats; default: serial)")),
         ("--engine", "serving.engine", dict(
             choices=("fifo", "batching"),
             help="serving engine: one-request-at-a-time fifo (default) or "
@@ -569,19 +566,28 @@ def _cmd_cosim(args: argparse.Namespace) -> int:
 
         exp = _experiment_config(args)
         cost, scheme, planner = build_components(exp)
+        if args.workers < 0:
+            raise ValueError("--workers must be non-negative")
+        drains = nullcontext()
+        if args.workers >= 2:
+            from repro.dram.parallel import ParallelDrainExecutor
+
+            drains = ParallelDrainExecutor(args.workers)
         # The sweep's own point function, so one rate runs exactly as
         # that rate would inside `cosim sweep`.
-        _point, result = _run_rate_point(
-            args.rate,
-            cost_model=cost,
-            scheme=scheme,
-            planner=planner,
-            serving=exp.serving,
-            loop=exp.loop,
-            n_requests=exp.n_requests,
-            seed=exp.seed,
-            traffic=exp.traffic if exp.traffic.active else None,
-        )
+        with drains as executor:
+            _point, result = _run_rate_point(
+                args.rate,
+                cost_model=cost,
+                scheme=scheme,
+                planner=planner,
+                serving=exp.serving,
+                loop=exp.loop,
+                n_requests=exp.n_requests,
+                seed=exp.seed,
+                traffic=exp.traffic if exp.traffic.active else None,
+                executor=executor,
+            )
     except (OSError, ValueError) as exc:
         print(f"repro cosim: {exc}", file=sys.stderr)
         return 2
@@ -906,6 +912,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cosim.add_argument("--rate", type=float, default=2.0,
                        help="offered load (requests/second)")
+    cosim.add_argument("--workers", type=int, default=0, metavar="N",
+                       help="fan the DRAM drains over an N-worker pool "
+                            "(bit-identical; default: serial)")
     cosim_sweep = cosim.add_subparsers(dest="cosim_command").add_parser(
         "sweep", parents=[cosim_common],
         help="drive the loop across an offered-load grid",
@@ -932,9 +941,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name, sweep in (("cosim", cosim_sweep), ("cluster", cluster_sweep)):
         _add_sweep_flags(sweep, "sweep")
         sweep.add_argument("--workers", type=int, default=0, metavar="N",
-                           help="run independent rate-grid points over an "
-                                "N-worker process pool (bit-identical to "
-                                "the serial sweep; default: serial)")
+                           help="N-worker process pool: runs the grid "
+                                "points when two or more remain, else the "
+                                "last point's DRAM drains (bit-identical "
+                                "to the serial sweep; default: serial)")
         sweep.add_argument("--output", default=f"{name}_sweep.json")
         sweep.add_argument("--checkpoint", default=None, metavar="PATH",
                            help="durable per-point checkpoint file "

@@ -7,8 +7,8 @@ whose experts are spread across N NDP devices by a
 
 - each device is its own :class:`~repro.dram.controller.MemoryController`
   (own channels, own FR-FCFS scheduler, own refresh derate), built
-  fresh per measurement and drained through one shared
-  :class:`~repro.dram.parallel.DeviceDrainPool`;
+  fresh per measurement and drained one device at a time through the
+  caller's optional :class:`~repro.dram.parallel.ParallelDrainExecutor`;
 - a measurement routes every trace element to the device holding its
   expert region, simulates the devices independently (device DRAMs
   share no timing state -- the same independence the per-channel
@@ -34,7 +34,6 @@ import numpy as np
 
 from repro.cluster.sharding import ShardingPolicy, make_sharding_policy
 from repro.dram.controller import ControllerStats, MemoryController, RequestTimings
-from repro.dram.parallel import DeviceDrainPool
 from repro.dram.segments import ControllerSpec, drain_segments, segment_starts
 from repro.hw.pcie import PCIeLink
 from repro.hw.specs import PCIE_GEN4_X16
@@ -67,8 +66,7 @@ class ShardedDramBackend:
         link: Optional[PCIeLink] = None,
         activation_bytes_per_token: int = 0,
         hot_fraction: float = 0.125,
-        device_pool: Optional[DeviceDrainPool] = None,
-        dram_workers: int = 0,
+        executor=None,
     ) -> None:
         if n_devices < 1:
             raise ValueError("n_devices must be >= 1")
@@ -88,12 +86,7 @@ class ShardedDramBackend:
         self.window = window
         self.link = link or PCIeLink(PCIE_GEN4_X16)
         self.activation_bytes_per_token = int(activation_bytes_per_token)
-        if device_pool is None:
-            device_pool = DeviceDrainPool(dram_workers)
-            self._owns_pool = True
-        else:
-            self._owns_pool = False
-        self._pool = device_pool
+        self.executor = executor
 
     # -- placement ---------------------------------------------------------
 
@@ -117,7 +110,7 @@ class ShardedDramBackend:
         controller cold, and merge timings back into input order."""
         if self.n_devices == 1 or len(addrs) == 0:
             controller = MemoryController(
-                self.config, window=self.window, executor=self._pool.executor()
+                self.config, window=self.window, executor=self.executor
             )
             return controller.simulate_arrays(
                 addrs, arrive_cycles, flags, detail=True
@@ -144,7 +137,7 @@ class ShardedDramBackend:
                     merged.idle_channel_cycles[dev * n_channels + ch] = 0
                 continue
             controller = MemoryController(
-                self.config, window=self.window, executor=self._pool.executor()
+                self.config, window=self.window, executor=self.executor
             )
             stats, timings = controller.simulate_arrays(
                 addrs[mask], arrive_cycles[mask], flags[mask], detail=True
@@ -243,13 +236,3 @@ class ShardedDramBackend:
             if seconds > 0.0:
                 out[int(rid)] = seconds
         return out
-
-    def close(self) -> None:
-        if self._owns_pool:
-            self._pool.close()
-
-    def __enter__(self) -> "ShardedDramBackend":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()

@@ -414,6 +414,7 @@ def _run_cluster_point(
     cluster: ClusterConfig,
     traffic=None,
     isolation_memo=None,
+    executor=None,
 ) -> tuple[SweepPoint, Optional[CosimResult]]:
     """One (curve, rate) point: generate the offered load, balance it,
     run each replica's closed loop, merge.  The cluster point function
@@ -439,7 +440,7 @@ def _run_cluster_point(
             window=loop.scheduler_window,
             activation_bytes_per_token=cluster.activation_bytes_per_token,
             hot_fraction=cluster.hot_fraction,
-            dram_workers=loop.dram_workers,
+            executor=executor,
         )
         driver = CosimDriver(
             cost_model,
@@ -450,10 +451,7 @@ def _run_cluster_point(
             backend=backend,
             isolation_memo=isolation_memo,
         )
-        try:
-            runs.append(driver.run(subset))
-        finally:
-            backend.close()
+        runs.append(driver.run(subset))
     if not runs:
         raise ValueError(f"no replica received requests at rate {rate}")
     if len(runs) == 1:

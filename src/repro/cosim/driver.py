@@ -40,6 +40,11 @@ the baseline is bit-identical to draining the whole serialized stream
 at once.  A sweep shares one memo across its points; a driver built
 without one gets its own.
 
+The DRAM side is a duck-typed backend (see :class:`SingleDeviceBackend`).
+Backends and drivers own no worker pool and need no closing: a caller
+that wants parallel drains hands the backend a
+:class:`~repro.dram.parallel.ParallelDrainExecutor` it closes itself.
+
 At low offered load bursts never overlap, contention is zero, and the
 loop converges immediately to the open-loop result; near saturation
 the surcharge spreads service starts until the serving layer's issue
@@ -96,9 +101,8 @@ class SingleDeviceBackend:
     *fresh* :class:`~repro.dram.controller.MemoryController` per
     measurement (controllers carry channel state across ``simulate``
     calls, and each measurement must start cold).  This class owns
-    that construction -- DRAM config, scheduler window, and the shared
-    per-channel drain pool (``dram_workers`` >= 2) that outlives the
-    per-measurement controllers.
+    that construction: DRAM config, scheduler window, and the
+    caller-owned drain ``executor`` (or ``None``: serial drains).
 
     The backend protocol (duck-typed; :class:`repro.cluster.backend.
     ShardedDramBackend` is the multi-device implementation):
@@ -116,32 +120,19 @@ class SingleDeviceBackend:
       ``simulate`` on the same stream;
     - ``transfer_seconds(trace)`` -> per-request inter-device transfer
       seconds (``{}`` when nothing crosses a device boundary -- the
-      single-device case by construction);
-    - ``close()`` releases any worker pool.
+      single-device case by construction).
     """
 
-    def __init__(self, dram_config, window: int = 64, dram_workers: int = 0) -> None:
+    def __init__(self, dram_config, window: int = 64, executor=None) -> None:
         self.config = dram_config
         self.window = window
-        self.dram_workers = int(dram_workers)
-        self._executor = None
-
-    def _shared_executor(self):
-        if self.dram_workers < 2:
-            return None
-        if self._executor is None:
-            # One pool outlives the per-measurement controllers, so
-            # the fixed-point loop pays worker startup once.
-            from repro.dram.parallel import ParallelDrainExecutor
-
-            self._executor = ParallelDrainExecutor(self.dram_workers)
-        return self._executor
+        self.executor = executor
 
     def simulate(self, addrs, arrive_cycles, flags, request_ids=None):
         """Simulate one arrival stream on a cold controller; returns
         ``(stats, per-element timings)`` in input order."""
         controller = MemoryController(
-            self.config, window=self.window, executor=self._shared_executor()
+            self.config, window=self.window, executor=self.executor
         )
         return controller.simulate_arrays(
             addrs, arrive_cycles, flags, detail=True
@@ -163,17 +154,6 @@ class SingleDeviceBackend:
         """Per-request inter-device activation-transfer seconds.  One
         device, no boundaries to cross: always empty."""
         return {}
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
-
-    def __enter__(self) -> "SingleDeviceBackend":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
 
 class _SurchargeSearch:
@@ -451,7 +431,8 @@ class CosimDriver:
     ``serving`` (:class:`~repro.experiments.config.ServingConfig`)
     picks the engine and its admission knobs; ``loop``
     (:class:`~repro.experiments.config.LoopConfig`) holds the
-    fixed-point knobs and the DRAM scheduler window / drain workers.
+    fixed-point knobs and the DRAM scheduler window.  ``backend``
+    defaults to a serial :class:`SingleDeviceBackend`.
     ``isolation_memo`` (:class:`~repro.dram.segments.SegmentMemo`)
     holds the isolation-baseline segments already drained; a sweep
     shares one across its points, and a driver built without one gets
@@ -475,13 +456,8 @@ class CosimDriver:
         self.estimator = make_estimator(cost_model, scheme, self.serving)
         if backend is None:
             backend = SingleDeviceBackend(
-                planner.config,
-                window=self.loop.scheduler_window,
-                dram_workers=self.loop.dram_workers,
+                planner.config, window=self.loop.scheduler_window
             )
-            self._owns_backend = True
-        else:
-            self._owns_backend = False
         self.backend = backend
         self._iso_cache: dict[int, int] = {}
         #: isolation segments already drained; exact, so it may be
@@ -489,13 +465,6 @@ class CosimDriver:
         self.isolation_memo = (
             SegmentMemo() if isolation_memo is None else isolation_memo
         )
-
-    def close(self) -> None:
-        """Shut down the DRAM backend's worker pool, when the driver
-        built the backend itself (injected backends are caller-owned
-        and may be shared across drivers)."""
-        if self._owns_backend:
-            self.backend.close()
 
     # -- contention measurement -------------------------------------------
 

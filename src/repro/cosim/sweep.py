@@ -27,10 +27,8 @@ and the sweep continues.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
-import multiprocessing
 import pathlib
 import signal
 import threading
@@ -39,13 +37,20 @@ from typing import Callable, Optional
 
 from repro.analysis.report import format_table
 from repro.core.strategies import Scheme
+from repro.dram.resilience import ResilienceReport
 from repro.dram.segments import SegmentMemo
 from repro.serving.simulator import CostModel
 from repro.serving.workload import RequestGenerator
 from repro.util.atomic_io import atomic_write_json, durable_append
 from repro.workloads.serialization import check_format_version
 
-from repro.cosim.driver import CosimDriver, CosimResult, config_layers, make_estimator
+from repro.cosim.driver import (
+    CosimDriver,
+    CosimResult,
+    SingleDeviceBackend,
+    config_layers,
+    make_estimator,
+)
 
 SWEEP_FORMAT_VERSION = 1
 SWEEP_CKPT_VERSION = 2
@@ -351,6 +356,7 @@ def _run_rate_point(
     seed: int,
     traffic=None,
     isolation_memo=None,
+    executor=None,
 ) -> tuple[SweepPoint, CosimResult]:
     """Run the closed loop at one offered-load point.
 
@@ -360,7 +366,8 @@ def _run_rate_point(
     generator and driver from the same seed, so results are identical
     whether points run serially, in parallel, or in any order.  The
     sweep's ``isolation_memo`` is exact, so what earlier points left in
-    it changes no result.
+    it changes no result; neither does a caller-owned drain
+    ``executor`` (:class:`~repro.dram.parallel.ParallelDrainExecutor`).
 
     With ``planner=None`` the point runs serving-only (open loop, no
     DRAM feedback): the configured engine's estimator serves the rate
@@ -378,18 +385,18 @@ def _run_rate_point(
             closed_loop=result,
         )
     else:
-        driver = CosimDriver(
+        backend = SingleDeviceBackend(
+            planner.config, window=loop.scheduler_window, executor=executor
+        )
+        run = CosimDriver(
             cost_model,
             scheme,
             planner,
             serving=serving,
             loop=loop,
+            backend=backend,
             isolation_memo=isolation_memo,
-        )
-        try:
-            run = driver.run(requests)
-        finally:
-            driver.close()
+        ).run(requests)
     return _point_from_run(rate, run, traffic), run
 
 
@@ -495,6 +502,19 @@ def _failed_point(rate: float, exc: BaseException) -> SweepPoint:
     )
 
 
+def _run_point(point_fn: Callable, key: tuple, point_kwargs: dict) -> tuple:
+    """Run one grid point, serially or in a pool worker.  A raising
+    point becomes its failed placeholder right here, so the pool never
+    retries it and its error string is the serial run's."""
+    try:
+        return point_fn(*key, **point_kwargs)
+    except SweepInterrupted:
+        raise
+    except Exception as exc:
+        logger.warning("sweep point %s failed: %s", key, exc)
+        return _failed_point(key[-1], exc), None
+
+
 def load_checkpoint(path, fingerprint: dict) -> dict[tuple, SweepPoint]:
     """Read a ``*.sweep.ckpt`` sidecar; returns completed points by
     grid key (the curve key followed by the rate).
@@ -578,13 +598,13 @@ def run_sweep_grid(
     live :class:`CosimResult` of every freshly run point by grid key
     (``curve_key + (rate,)``).
 
-    ``workers`` >= 2 runs the (independent) grid points over a process
-    pool instead of serially -- each worker gets its own pickled copy
-    of the point arguments, and the per-point seeding is identical
-    either way, so the sweep output is bit-identical to the serial
-    run.  Pool workers are daemonic and cannot spawn the nested DRAM
-    drain pool, so ``dram_workers`` is forced to 0 inside parallel
-    grid points (use one or the other level of parallelism).
+    ``workers`` >= 2 opens one pool for the sweep.  While two or more
+    points remain, they run on a :class:`~repro.util.pool.SupervisedPool`
+    (a dead worker's point is rerun; one that kills its worker on every
+    attempt is recorded as failed).  A lone remaining point instead
+    gets a :class:`~repro.dram.parallel.ParallelDrainExecutor` for its
+    DRAM drains, as ``point_kwargs["executor"]``.  Either way the
+    output is bit-identical to the serial run.
 
     ``checkpoint_path`` enables durable progress: each completed point
     is fsync-appended to the sidecar the moment it finishes, SIGINT /
@@ -635,12 +655,16 @@ def run_sweep_grid(
     # One isolation memo per sweep: exact, so sharing it across points
     # changes no result, and a fresh one per call keeps runs apart.
     point_kwargs = {**point_kwargs, "isolation_memo": SegmentMemo()}
-    use_pool = workers >= 2 and len(todo) >= 2
-    if use_pool:
-        point_kwargs = {
-            **point_kwargs,
-            "loop": dataclasses.replace(point_kwargs["loop"], dram_workers=0),
-        }
+    pool_points = workers >= 2 and len(todo) >= 2
+    pool = None
+    if pool_points:
+        from repro.util.pool import PoolError, SupervisedPool
+
+        pool = SupervisedPool(min(workers, len(todo)))
+    elif workers >= 2 and todo:
+        from repro.dram.parallel import ParallelDrainExecutor
+
+        pool = point_kwargs["executor"] = ParallelDrainExecutor(workers)
 
     ckpt_fh = None
     if checkpoint_path is not None:
@@ -657,16 +681,9 @@ def run_sweep_grid(
             }
             durable_append(ckpt_fh, (json.dumps(header) + "\n").encode())
 
-    def settle(key: tuple, outcome: Callable) -> None:
-        """Record one point: ``outcome()`` returns its (point, run) or
-        raises, and a raising point is recorded as failed."""
-        try:
-            point, run = outcome()
-        except SweepInterrupted:
-            raise
-        except Exception as exc:
-            logger.warning("sweep point %s failed: %s", key, exc)
-            point, run = _failed_point(key[-1], exc), None
+    def settle(key: tuple, outcome: tuple) -> None:
+        """Record one point's ``(point, run)`` outcome."""
+        point, run = outcome
         done[key] = point
         if run is not None:
             runs[key] = run
@@ -695,31 +712,25 @@ def run_sweep_grid(
             except (ValueError, OSError):  # pragma: no cover - exotic host
                 pass
     try:
-        if use_pool:
-            methods = multiprocessing.get_all_start_methods()
-            ctx = multiprocessing.get_context(
-                "fork" if "fork" in methods else "spawn"
+        if pool_points:
+            # Keyed by grid index; checkpointed in completion order
+            # (resume assembles the grid order from the keys).
+            tasks = {grid.index(key): (point_fn, key, point_kwargs) for key in todo}
+            _, failed = pool.run(
+                _run_point,
+                tasks,
+                ResilienceReport(),
+                on_result=lambda i, outcome: settle(grid[i], outcome),
             )
-            pool = ctx.Pool(min(workers, len(todo)))
-            try:
-                pending = {
-                    key: pool.apply_async(point_fn, key, point_kwargs)
-                    for key in todo
-                }
-                # Checkpoint in completion order (resume assembles the
-                # grid order from the keys, so order on disk is
-                # irrelevant).
-                while pending:
-                    next(iter(pending.values())).wait(0.05)
-                    for key in [k for k, ar in pending.items() if ar.ready()]:
-                        settle(key, lambda: pending.pop(key).get(0))
-            finally:
-                pool.terminate()
-                pool.join()
+            died = PoolError(f"worker died on all {pool.max_retries + 1} attempts")
+            for i in failed:
+                settle(grid[i], (_failed_point(grid[i][-1], died), None))
         else:
             for key in todo:
-                settle(key, lambda: point_fn(*key, **point_kwargs))
+                settle(key, _run_point(point_fn, key, point_kwargs))
     finally:
+        if pool is not None:
+            pool.close()
         for sig, previous in installed:
             signal.signal(sig, previous)
         if ckpt_fh is not None:

@@ -568,7 +568,7 @@ class MemoryController:
             and nonempty >= 2
             and not any(ch.record_commands for ch in self.channels)
         ):
-            from repro.dram.parallel import ParallelDrainError
+            from repro.util.pool import PoolError
 
             # Fan the independent per-channel drains out over the
             # worker pool; the executor writes the sorted-order
@@ -579,7 +579,7 @@ class MemoryController:
                     self, bf_sorted, row_sorted, col_sorted, wr_sorted,
                     arr_sorted, bounds, order, stats, first, complete, hit,
                 )
-            except ParallelDrainError as exc:
+            except PoolError as exc:
                 # The executor's drain is transactional, so the
                 # channels are untouched and the whole drain can rerun
                 # serially -- slower, bit-identical, recorded.

@@ -32,55 +32,33 @@ starvation_cap)`` parameters, and :class:`ChannelState` -- is
 picklable, so the same code runs under ``spawn`` (macOS/Windows or
 ``start_method="spawn"``) unchanged.
 
-Supervision: :meth:`ParallelDrainExecutor.drain` does not trust the
-pool.  Each per-channel task is submitted asynchronously and watched:
-a task that raises is resubmitted with deterministic bounded
-exponential backoff; a worker that dies (OOM kill, SIGKILL, segfault)
-is detected by the pool's worker-pid set changing, after which the
-pool is respawned and every outstanding task resubmitted; a task that
-exceeds ``task_timeout`` triggers the same respawn.  A task that
-exhausts ``max_retries`` is drained *serially in the parent* on the
-same shared-memory blocks -- the channels are independent, so one
-poisoned channel degrades to serial while the rest stay parallel.
-Every recovery action is recorded in the
-:class:`~repro.dram.resilience.ResilienceReport` attached to the
-run's ``ControllerStats`` and logged on ``repro.resilience``.  The
-drain is transactional: channel states and caller-visible stats are
-only touched once every channel has a result, so an unrecoverable
-failure (:class:`ParallelDrainError`) leaves the controller exactly
-as it was and the caller can rerun the whole drain serially.
+Supervision: :class:`ParallelDrainExecutor` is a
+:class:`~repro.util.pool.SupervisedPool`, the repo's one worker pool.
+A channel the pool gives up on is drained *serially in the parent* on
+the same shared-memory blocks while the rest stay parallel.  The drain
+is transactional: nothing caller-visible changes until every channel
+has a result, so an unrecoverable failure (a
+:class:`~repro.util.pool.PoolError`) leaves the controller as it was
+and the caller can rerun the whole drain serially.
 """
 
 from __future__ import annotations
 
-import logging
-import multiprocessing
 import pickle
-import signal
-import time
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Optional
 
 import numpy as np
 
-from repro.dram.resilience import (
-    KIND_POOL_RESPAWN,
-    KIND_SERIAL_FALLBACK,
-    KIND_TASK_RETRY,
-    KIND_TASK_TIMEOUT,
-    KIND_WORKER_DEATH,
-    ResilienceReport,
-)
-
-logger = logging.getLogger(__name__)
+from repro.dram.resilience import KIND_SERIAL_FALLBACK, ResilienceReport
+from repro.util.pool import PoolError, SupervisedPool
 
 
-class ParallelDrainError(RuntimeError):
-    """The parallel drain could not complete even with supervision
-    (e.g. the pool cannot be (re)created).  The drain is transactional,
-    so the controller is untouched and the caller falls back to the
-    serial path."""
+class ParallelDrainError(PoolError):
+    """A channel's in-parent serial fallback failed after the pool gave
+    up on it.  The drain is transactional, so the controller is
+    untouched and the caller falls back to the serial path."""
+
 
 _I8 = np.dtype("<i8").itemsize
 
@@ -176,17 +154,6 @@ class ChannelState:
             bank.earliest_pre = epre
             bank.earliest_col = ecol
             bank.row_hits = hits
-
-
-def _reset_worker_signals() -> None:
-    """Pool initializer: restore default SIGINT/SIGTERM handling.
-
-    Forked workers inherit the parent's handlers -- including a
-    sweep's interrupt handler, which raises on SIGTERM.  The pool
-    SIGTERMs its workers on shutdown, and an inherited raising
-    handler turns that into a traceback on stderr."""
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(sig, signal.SIG_DFL)
 
 
 #: Worker-process cache: one controller per distinct parameter blob,
@@ -285,233 +252,17 @@ def _drain_worker(
             pass
 
 
-class ParallelDrainExecutor:
-    """Persistent worker pool that drains independent channels in
+class ParallelDrainExecutor(SupervisedPool):
+    """Supervised worker pool that drains independent channels in
     parallel.
 
     Created lazily by ``MemoryController(workers=N)`` or explicitly
     and shared across controllers (``MemoryController(...,
-    executor=ex)`` -- how the co-simulation driver amortizes one pool
-    over the fresh controller it builds per iteration).  The pool
-    itself is created on first use and survives across ``drain``
-    calls; shared-memory blocks are per call.
+    executor=ex)`` -- how a sweep amortizes one pool over every
+    controller its drains build).  The pool itself is created on
+    first use and survives across ``drain`` calls; shared-memory
+    blocks are per call.
     """
-
-    def __init__(
-        self,
-        workers: int,
-        start_method: Optional[str] = None,
-        task_timeout: Optional[float] = None,
-        max_retries: int = 3,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 1.0,
-        poll_interval: float = 0.05,
-    ) -> None:
-        workers = int(workers)
-        if workers < 2:
-            raise ValueError("parallel draining needs workers >= 2")
-        methods = multiprocessing.get_all_start_methods()
-        if start_method is None:
-            start_method = "fork" if "fork" in methods else "spawn"
-        elif start_method not in methods:
-            raise ValueError(
-                f"start method {start_method!r} unavailable (have {methods})"
-            )
-        if task_timeout is not None and task_timeout <= 0:
-            raise ValueError("task_timeout must be positive (or None)")
-        if max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        if backoff_base < 0 or backoff_cap < 0:
-            raise ValueError("backoff must be non-negative")
-        if poll_interval <= 0:
-            raise ValueError("poll_interval must be positive")
-        self.workers = workers
-        self.start_method = start_method
-        #: wall-clock budget per task *attempt*; ``None`` disables the
-        #: timeout (worker-death detection still covers kill/crash).
-        self.task_timeout = task_timeout
-        #: resubmits per task before it degrades to the in-parent
-        #: serial fallback.
-        self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.poll_interval = poll_interval
-        self._ctx = multiprocessing.get_context(start_method)
-        self._pool = None
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            self._pool = self._ctx.Pool(
-                self.workers, initializer=_reset_worker_signals
-            )
-        return self._pool
-
-    def _pool_pids(self) -> Optional[frozenset]:
-        """Pids of the live pool workers (None when unobservable).
-
-        ``Pool`` keeps its worker ``Process`` handles in ``_pool`` and
-        silently replaces dead workers -- the replacement changes this
-        pid set, which is the only portable signal that a worker died,
-        since the dead worker's in-flight task simply never returns.
-        Guarded with ``getattr`` so a stdlib that drops the attribute
-        degrades to timeout-only supervision instead of crashing.
-        """
-        pool = self._pool
-        procs = getattr(pool, "_pool", None)
-        if procs is None:
-            return None
-        try:
-            return frozenset(p.pid for p in procs)
-        except Exception:  # pragma: no cover - racing pool teardown
-            return None
-
-    def _respawn_pool(self):
-        """Terminate the (possibly wedged) pool and build a fresh one."""
-        if self._pool is not None:
-            try:
-                self._pool.terminate()
-                self._pool.join()
-            except Exception as exc:  # pragma: no cover - teardown races
-                logger.warning("pool teardown during respawn failed: %s", exc)
-            self._pool = None
-        return self._ensure_pool()
-
-    def backoff_seconds(self, attempt: int) -> float:
-        """Deterministic bounded exponential backoff before resubmit
-        ``attempt`` (1-based): base * 2^(attempt-1), capped."""
-        return min(self.backoff_base * (2 ** max(attempt - 1, 0)), self.backoff_cap)
-
-    def _supervise(self, tasks, resilience):
-        """Run drain tasks under supervision.
-
-        Submits each task asynchronously and watches for three failure
-        shapes: a task that *raises* (picklable failure -- retried with
-        backoff), a *worker death* (pid-set change; the dead worker's
-        in-flight task would never return, so the pool is respawned and
-        all outstanding tasks resubmitted), and a *task timeout* (same
-        respawn treatment, since a wedged worker holds a pool slot
-        hostage).  Resubmission is safe because drain tasks are
-        idempotent: each applies its pre-drain state snapshot and
-        writes outputs at fixed offsets.
-
-        Returns ``(results, failed)`` where ``results`` maps channel
-        index to the worker result tuple and ``failed`` lists channels
-        that exhausted ``max_retries`` (the caller drains those
-        serially).  Raises :class:`ParallelDrainError` only when the
-        pool itself cannot be (re)created.
-        """
-        task_by_ci = {task[1]: task for task in tasks}
-        results: dict = {}
-        failed: list = []
-        attempts = {ci: 0 for ci in task_by_ci}
-        pending: dict = {}
-        deadlines: dict = {}
-
-        def submit(ci):
-            attempts[ci] += 1
-            pending[ci] = self._ensure_pool().apply_async(
-                _drain_worker, task_by_ci[ci]
-            )
-            if self.task_timeout is not None:
-                deadlines[ci] = time.monotonic() + self.task_timeout
-
-        def retry_or_fail(cis, reason):
-            ready = []
-            backoff = 0.0
-            for ci in cis:
-                pending.pop(ci, None)
-                deadlines.pop(ci, None)
-                if attempts[ci] > self.max_retries:
-                    failed.append(ci)
-                    logger.error(
-                        "channel %d drain gave up after %d attempts: %s",
-                        ci,
-                        attempts[ci],
-                        reason,
-                    )
-                    continue
-                b = self.backoff_seconds(attempts[ci])
-                resilience.record(
-                    KIND_TASK_RETRY,
-                    channel=ci,
-                    attempt=attempts[ci] + 1,
-                    backoff_seconds=b,
-                    detail=reason,
-                )
-                backoff = max(backoff, b)
-                ready.append(ci)
-            if ready and backoff > 0:
-                time.sleep(backoff)
-            for ci in ready:
-                submit(ci)
-
-        try:
-            self._ensure_pool()
-        except Exception as exc:
-            raise ParallelDrainError(f"cannot create worker pool: {exc}") from exc
-        known_pids = self._pool_pids()
-
-        def respawn_and_resubmit(reason):
-            nonlocal known_pids
-            outstanding = list(pending)
-            pending.clear()
-            deadlines.clear()
-            resilience.record(KIND_POOL_RESPAWN, detail=reason)
-            try:
-                self._respawn_pool()
-            except Exception as exc:
-                raise ParallelDrainError(
-                    f"cannot respawn worker pool: {exc}"
-                ) from exc
-            known_pids = self._pool_pids()
-            retry_or_fail(outstanding, reason)
-
-        for ci in sorted(task_by_ci):
-            submit(ci)
-        while pending:
-            # Block briefly on one in-flight task, then harvest every
-            # completion -- cheaper than a busy poll, still bounded so
-            # death/timeout checks below run regularly.
-            next(iter(pending.values())).wait(self.poll_interval)
-            for ci in [c for c, ar in pending.items() if ar.ready()]:
-                ar = pending.pop(ci)
-                deadlines.pop(ci, None)
-                try:
-                    results[ci] = ar.get(0)
-                except Exception as exc:
-                    retry_or_fail([ci], f"worker raised {exc!r}")
-            if not pending:
-                break
-            current = self._pool_pids()
-            if (
-                known_pids is not None
-                and current is not None
-                and current != known_pids
-            ):
-                # Pool silently replaced a dead worker; its in-flight
-                # task is lost forever, so respawn and resubmit.
-                gone = sorted(known_pids - current)
-                resilience.record(
-                    KIND_WORKER_DEATH,
-                    detail=f"pool worker(s) died (pids {gone} gone)",
-                )
-                respawn_and_resubmit("worker death; pool respawned")
-                continue
-            if deadlines:
-                now = time.monotonic()
-                expired = sorted(ci for ci, dl in deadlines.items() if now >= dl)
-                if expired:
-                    for ci in expired:
-                        resilience.record(
-                            KIND_TASK_TIMEOUT,
-                            channel=ci,
-                            attempt=attempts[ci],
-                            detail=(
-                                f"no result within {self.task_timeout:.3f}s"
-                            ),
-                        )
-                    respawn_and_resubmit("task timeout; pool respawned")
-        return results, failed
 
     def _serial_drain_task(self, controller, task, arrays, out_buf, n):
         """Drain one channel in the parent after the pool gave up on
@@ -636,9 +387,9 @@ class ParallelDrainExecutor:
             resilience = getattr(stats, "resilience", None)
             if resilience is None:
                 resilience = ResilienceReport()
-            results, failed = self._supervise(tasks, resilience)
+            task_by_ci = {task[1]: task for task in tasks}
+            results, failed = self.run(_drain_worker, task_by_ci, resilience)
             if failed:
-                task_by_ci = {task[1]: task for task in tasks}
                 arrays = (bf_sorted, row_sorted, col_sorted, wr_sorted, arr_sorted)
                 for ci in sorted(failed):
                     resilience.record(
@@ -688,67 +439,3 @@ class ParallelDrainExecutor:
                 shm_out.unlink()
             except BufferError:  # pragma: no cover - views alive on error
                 pass
-
-    def close(self) -> None:
-        """Shut the pool down; the executor can be reused afterwards
-        (a fresh pool is created on the next drain)."""
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-
-    def __enter__(self) -> "ParallelDrainExecutor":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter teardown
-        try:
-            self.close()
-        except Exception:
-            pass
-
-
-class DeviceDrainPool:
-    """One drain-worker pool shared by a fleet of per-device
-    controllers.
-
-    The cluster backend builds a fresh :class:`MemoryController` per
-    device per measurement; giving each its own
-    :class:`ParallelDrainExecutor` would spawn ``devices x workers``
-    processes and pay pool startup on every measurement.  This pool
-    generalizes the per-channel executor to the per-device level: the
-    devices of one replica drain *sequentially* (each measurement is an
-    independent cold-start simulation), so a single executor -- sized
-    to the channel count of one device -- can be vended to every
-    controller in turn.  ``workers < 2`` vends ``None`` (serial
-    drains), so callers need no special-casing.
-    """
-
-    def __init__(self, workers: int = 0, **executor_kwargs) -> None:
-        self.workers = int(workers)
-        self._executor_kwargs = executor_kwargs
-        self._executor: Optional[ParallelDrainExecutor] = None
-
-    def executor(self) -> Optional[ParallelDrainExecutor]:
-        """The shared executor (created on first use), or ``None``
-        when the pool is sized below 2 workers."""
-        if self.workers < 2:
-            return None
-        if self._executor is None:
-            self._executor = ParallelDrainExecutor(
-                self.workers, **self._executor_kwargs
-            )
-        return self._executor
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
-
-    def __enter__(self) -> "DeviceDrainPool":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()

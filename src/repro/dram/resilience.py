@@ -75,7 +75,7 @@ class ResilienceReport:
         )
         self.events.append(event)
         logger.warning(
-            "resilience: %s channel=%d attempt=%d backoff=%.3fs %s",
+            "resilience: %s channel=%s attempt=%d backoff=%.3fs %s",
             kind,
             channel,
             attempt,

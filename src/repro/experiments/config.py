@@ -13,7 +13,7 @@ accreted, folded into a frozen dataclass hierarchy:
   knobs (absorbs the old ``BatchConfig`` surface) plus the request
   stream shape;
 - :class:`LoopConfig` -- fixed-point iteration knobs and the DRAM
-  scheduler window / drain workers;
+  scheduler window;
 - :class:`~repro.cluster.config.ClusterConfig` -- fleet shape
   (cluster mode only);
 - :class:`TrafficConfig` -- production traffic shaping (time-varying
@@ -350,10 +350,6 @@ class LoopConfig:
     max_iterations: int = 8
     p99_tolerance: float = 0.02
     scheduler_window: int = 64
-    #: >= 2 fans each DRAM replay's per-channel drains out over one
-    #: shared worker pool (repro.dram.parallel) -- bit-identical
-    #: stats, so convergence trajectories do not change.
-    dram_workers: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.damping <= 1.0:
@@ -364,8 +360,6 @@ class LoopConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.p99_tolerance < 0:
             raise ValueError("p99_tolerance must be non-negative")
-        if self.dram_workers < 0:
-            raise ValueError("dram_workers must be non-negative")
 
     def step(self, iteration: int) -> float:
         """Damped update step size for the given iteration index:

@@ -53,8 +53,8 @@ def test_single_device_is_controller_passthrough(trace_arrays):
     ref_stats, ref_timings = MemoryController(
         small_cosim_dram(), window=64
     ).simulate_arrays(addrs, arrive, flags, detail=True)
-    with ShardedDramBackend(small_cosim_dram(), n_devices=1) as backend:
-        stats, timings = backend.simulate(addrs, arrive, flags, request_ids)
+    backend = ShardedDramBackend(small_cosim_dram(), n_devices=1)
+    stats, timings = backend.simulate(addrs, arrive, flags, request_ids)
     assert stats == ref_stats
     assert np.array_equal(timings.complete_cycles, ref_timings.complete_cycles)
     assert np.array_equal(timings.queue_delays, ref_timings.queue_delays)
@@ -65,13 +65,13 @@ def test_single_device_is_controller_passthrough(trace_arrays):
 
 def test_multi_device_merges_counters(planner, trace_arrays):
     addrs, arrive, flags, request_ids = trace_arrays
-    with ShardedDramBackend(
+    backend = ShardedDramBackend(
         small_cosim_dram(), n_devices=2, policy="expert_parallel",
         planner=planner,
-    ) as backend:
-        device = backend.device_map(addrs, request_ids)
-        assert set(np.unique(device)) == {0, 1}
-        stats, timings = backend.simulate(addrs, arrive, flags, request_ids)
+    )
+    device = backend.device_map(addrs, request_ids)
+    assert set(np.unique(device)) == {0, 1}
+    stats, timings = backend.simulate(addrs, arrive, flags, request_ids)
     # Every element was simulated exactly once, somewhere.
     assert stats.requests == len(addrs)
     assert stats.reads == len(addrs)
@@ -98,7 +98,6 @@ def test_multi_device_needs_planner_and_request_ids(planner, trace_arrays):
     )
     with pytest.raises(ValueError, match="request_ids"):
         backend.simulate(addrs, arrive, flags)
-    backend.close()
 
 
 def test_transfer_seconds_policies(planner, trace_arrays):
@@ -107,12 +106,10 @@ def test_transfer_seconds_policies(planner, trace_arrays):
     trace = FakeTrace(addrs, request_ids, tokens)
 
     def total(policy, abpt, hot_fraction=0.25):
-        backend = ShardedDramBackend(
+        return ShardedDramBackend(
             small_cosim_dram(), n_devices=2, policy=policy, planner=planner,
             activation_bytes_per_token=abpt, hot_fraction=hot_fraction,
-        )
-        with backend:
-            return backend.transfer_seconds(trace)
+        ).transfer_seconds(trace)
 
     # Nothing crosses a link: replicated placement, or a free payload.
     assert total("replicated", 512) == {}

@@ -74,6 +74,29 @@ def test_cosim_single_run(capsys, tmp_path):
     assert n > 0
 
 
+def test_cosim_single_run_drain_workers(monkeypatch, capsys):
+    """`repro cosim --workers 2` fans the run's DRAM drains over a
+    worker pool and prints exactly what the serial run prints."""
+    from repro.dram.parallel import ParallelDrainExecutor
+
+    drains = []
+    real_drain = ParallelDrainExecutor.drain
+
+    def counting_drain(self, *args, **kwargs):
+        drains.append(self.workers)
+        return real_drain(self, *args, **kwargs)
+
+    monkeypatch.setattr(ParallelDrainExecutor, "drain", counting_drain)
+    argv = ["cosim", "--rate", "1e6"] + COSIM_SMALL
+    assert main(argv) == 0
+    serial = capsys.readouterr().out
+    assert not drains
+    assert main(argv + ["--workers", "2"]) == 0
+    assert capsys.readouterr().out == serial
+    assert drains and set(drains) == {2}
+    assert main(argv + ["--workers", "-1"]) == 2
+
+
 def test_cosim_sweep(capsys, tmp_path):
     from repro.cosim import SweepResult
 
@@ -185,7 +208,9 @@ SHARED_SWEEP_FLAGS = [
     (["--tol", "0.1"], {"loop.p99_tolerance": 0.1}),
     (["--small-dram"], {"replay.dram": "small"}),
     (["--synthetic-regions"], {"replay.synthetic": True}),
-    (["--dram-workers", "2"], {"loop.dram_workers": 2}),
+    # The one parallelism knob is an execution detail, not a field of
+    # the experiment it runs.
+    (["--workers", "2"], {}),
     (["--engine", "batching"], {"serving.engine": "batching"}),
     (["--max-batch", "3"], {"serving.max_batch": 3}),
     (["--prefill-budget", "100"], {"serving.prefill_token_budget": 100}),

@@ -15,7 +15,13 @@ parameter) check both runners; the cluster runner sweeps a 1- and
 
 from __future__ import annotations
 
+import functools
 import json
+import os
+import pathlib
+import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -27,7 +33,7 @@ from repro.cosim import (
     run_load_sweep,
     small_cosim_dram,
 )
-from repro.cosim.sweep import load_checkpoint
+from repro.cosim.sweep import _run_rate_point, load_checkpoint
 from repro.experiments import LoopConfig, ServingConfig
 from repro.faults import interrupt_after
 from repro.serving.simulator import CostModel
@@ -301,3 +307,116 @@ def test_real_sigterm_mid_sweep_recovers(tmp_path, baseline):
     assert ckpt.exists()
     resumed, _ = run(checkpoint_path=ckpt, resume=True)
     assert dumped(resumed) == baseline
+
+
+# -- the point pool: routing and worker death ------------------------------
+
+
+def _kill_once_point(rate, *, sentinel, **kwargs):
+    """Point function that SIGKILLs its own pool worker the first time
+    it runs the lowest rate (the sentinel file makes it once), then
+    runs the real point."""
+    if rate == RATES[0] and not os.path.exists(sentinel):
+        open(sentinel, "w").close()
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _run_rate_point(rate, **kwargs)
+
+
+def _kill_always_point(rate, *, sentinel, **kwargs):
+    """Point function whose lowest rate SIGKILLs its worker on every
+    attempt."""
+    if rate == RATES[0]:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _run_rate_point(rate, **kwargs)
+
+
+def run_with_point(name: str, sentinel: str):
+    """The RATES sweep at ``workers=2`` with the named killer as its
+    point function.  Run in a subprocess: a killer that ever ran
+    outside a pool worker would kill the test process itself."""
+    import repro.cosim.sweep as sweep_module
+
+    killer = globals()[name]
+    sweep_module._run_rate_point = functools.partial(killer, sentinel=sentinel)
+    return run(workers=2)
+
+
+# Prints the sweep document and the resilience event kinds it logged.
+_DEATH_SCRIPT = """
+import json, logging, sys
+from tests.cosim import test_checkpoint as t
+kinds = []
+handler = logging.Handler()
+handler.emit = lambda record: kinds.append(record.args[0])
+log = logging.getLogger("repro.resilience")
+log.addHandler(handler)
+log.propagate = False
+result, _ = t.run_with_point(sys.argv[1], sys.argv[2])
+print(json.dumps({"doc": t.dumped(result), "kinds": kinds}))
+"""
+
+
+def sweep_under_worker_death(name: str, tmp_path) -> tuple[dict, list]:
+    root = pathlib.Path(__file__).resolve().parents[2]
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)]),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-c", _DEATH_SCRIPT, name, str(tmp_path / "sentinel")],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    return json.loads(out["doc"]), out["kinds"]
+
+
+def test_dead_point_worker_respawned(tmp_path, baseline):
+    """A SIGKILLed point worker no longer hangs the sweep: the pool is
+    respawned, the lost point reruns, and the document is the serial
+    one."""
+    doc, kinds = sweep_under_worker_death("_kill_once_point", tmp_path)
+    assert doc == json.loads(baseline)
+    assert "worker_death" in kinds and "pool_respawn" in kinds
+
+
+def test_point_killing_every_worker_fails_alone(tmp_path, baseline):
+    """A point that kills its worker on every attempt becomes a failed
+    point; the points beside it complete as in the serial sweep."""
+    doc, kinds = sweep_under_worker_death("_kill_always_point", tmp_path)
+    dead, *rest = doc["points"]
+    assert dead["failed"] and "worker died" in dead["error"]
+    assert rest == json.loads(baseline)["points"][1:]
+    assert kinds.count("worker_death") == 4  # 1 + max_retries attempts
+
+
+def test_workers_route_to_points_or_drains(monkeypatch, baseline):
+    """One knob: with two or more points left ``workers`` runs them on
+    the point pool; with one left it goes to that point's DRAM drains.
+    Both are byte-identical to the serial sweep."""
+    from repro.dram.parallel import ParallelDrainExecutor
+    from repro.util.pool import SupervisedPool
+
+    pool_fns, drains = [], []
+    real_run, real_drain = SupervisedPool.run, ParallelDrainExecutor.drain
+
+    def counting_run(self, fn, *args, **kwargs):
+        pool_fns.append(fn.__name__)
+        return real_run(self, fn, *args, **kwargs)
+
+    def counting_drain(self, *args, **kwargs):
+        drains.append(self.workers)
+        return real_drain(self, *args, **kwargs)
+
+    monkeypatch.setattr(SupervisedPool, "run", counting_run)
+    monkeypatch.setattr(ParallelDrainExecutor, "drain", counting_drain)
+
+    pooled, _ = run(workers=2)
+    assert dumped(pooled) == baseline
+    assert pool_fns == ["_run_point"] and not drains
+
+    pool_fns.clear()
+    one_point, _ = run(rates=RATES[:1], workers=2)
+    assert dumped(one_point) == dumped(run(rates=RATES[:1])[0])
+    assert drains and set(drains) == {2}
+    assert set(pool_fns) == {"_drain_worker"}

@@ -17,8 +17,9 @@ from repro.cosim import (
     SyntheticReplayPlanner,
     small_cosim_dram,
 )
-from repro.cosim.driver import make_estimator
+from repro.cosim.driver import SingleDeviceBackend, make_estimator
 from repro.dram.controller import MemoryController
+from repro.dram.parallel import ParallelDrainExecutor
 from repro.experiments import LoopConfig, ServingConfig
 from repro.serving.simulator import CostModel
 from repro.serving.workload import RequestGenerator
@@ -148,26 +149,24 @@ def test_driver_reuse_recalibrates_baselines(parts):
     assert cache_a != cache_b
 
 
-def test_dram_workers_bit_identical_loop(parts):
-    """A pooled DRAM replay (dram_workers=2) is bit-identical per
-    iteration to the serial loop -- the convergence trajectory, not
-    just the endpoint, must not change."""
+def test_drain_executor_bit_identical_loop(parts):
+    """A backend draining through an injected ParallelDrainExecutor is
+    bit-identical per iteration to the serial loop -- the convergence
+    trajectory, not just the endpoint, must not change."""
     cost, planner = parts
     generator = RequestGenerator(
         1e6, mean_prompt_tokens=20, mean_decode_tokens=5, seed=1
     )
     requests = generator.generate(40)
-    serial = CosimDriver(
-        cost, Scheme.MD_LB, planner, loop=LoopConfig(max_iterations=16)
-    ).run(requests)
-    pooled_driver = CosimDriver(
-        cost, Scheme.MD_LB, planner,
-        loop=LoopConfig(max_iterations=16, dram_workers=2),
-    )
-    try:
-        pooled = pooled_driver.run(requests)
-    finally:
-        pooled_driver.close()
+    loop = LoopConfig(max_iterations=16)
+    serial = CosimDriver(cost, Scheme.MD_LB, planner, loop=loop).run(requests)
+    with ParallelDrainExecutor(2) as executor:
+        backend = SingleDeviceBackend(
+            planner.config, window=loop.scheduler_window, executor=executor
+        )
+        pooled = CosimDriver(
+            cost, Scheme.MD_LB, planner, loop=loop, backend=backend
+        ).run(requests)
     assert pooled.iterations == serial.iterations
     assert pooled.converged == serial.converged
     assert pooled.extra_seconds_per_token == serial.extra_seconds_per_token

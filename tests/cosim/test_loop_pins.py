@@ -104,10 +104,7 @@ def test_loop_reproduces_pins(name):
         serving=ServingConfig(engine=engine),
         loop=LoopConfig(max_iterations=max_iterations, p99_tolerance=tolerance),
     )
-    try:
-        got = snapshot(driver.run(requests))
-    finally:
-        driver.close()
+    got = snapshot(driver.run(requests))
     want = PINS[name]
     # Iteration by iteration first, so a drift names where it started.
     for i, (g, w) in enumerate(zip(got["iterations"], want["iterations"])):

@@ -60,10 +60,7 @@ def run_engine(cost, rate, engine, n=60, max_iterations=16):
         serving=ServingConfig(engine=engine),
         loop=LoopConfig(max_iterations=max_iterations),
     )
-    try:
-        return driver.run(requests_at(rate, n))
-    finally:
-        driver.close()
+    return driver.run(requests_at(rate, n))
 
 
 # -- the phase trace --------------------------------------------------------
@@ -172,10 +169,7 @@ def test_synthetic_planner_batching_token_share_fallback(parts):
         serving=ServingConfig(engine="batching"),
         loop=LoopConfig(max_iterations=8),
     )
-    try:
-        result = driver.run(requests_at(1e5, n=30))
-    finally:
-        driver.close()
+    result = driver.run(requests_at(1e5, n=30))
     assert result.closed_loop is not None
     assert result.closed_loop.n_completed == 30
 

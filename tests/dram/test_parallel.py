@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 import signal
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -259,3 +259,32 @@ def test_pool_workers_reset_inherited_signal_handlers():
             signal.signal(sig, handler)
         executor.close()
     assert handlers == (signal.SIG_DFL, signal.SIG_DFL)
+
+
+def _signal_probe_point(rate, **_point_kwargs):
+    """Sweep point function reporting its worker's signal handlers in
+    the point's ``error`` field."""
+    from repro.cosim.sweep import _failed_point
+
+    point = _failed_point(rate, RuntimeError("probe"))
+    return replace(point, failed=False, error=repr(_worker_signal_handlers())), None
+
+
+def test_sweep_point_workers_reset_inherited_signal_handlers(tmp_path):
+    """Pooled sweep points fork while a checkpointing sweep has its
+    raising interrupt handler installed; their workers must start with
+    the default handlers too."""
+    from repro.cosim.sweep import SweepResult, run_sweep_grid
+
+    result = SweepResult(scheme="md+lb", arrival="poisson", n_requests=0, seed=0)
+    run_sweep_grid(
+        result,
+        {(): result},
+        [1.0, 2.0],
+        _signal_probe_point,
+        {},
+        workers=2,
+        checkpoint_path=tmp_path / "probe.ckpt",
+    )
+    default = repr((signal.SIG_DFL, signal.SIG_DFL))
+    assert [p.error for p in result.points] == [default, default]
