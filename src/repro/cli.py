@@ -561,7 +561,7 @@ def _cmd_cosim(args: argparse.Namespace) -> int:
         return _cmd_sweep(args)
     export_trace = getattr(args, "export_trace", None)
     try:
-        from repro.cosim.sweep import _run_rate_point
+        from repro.cluster.sweep import _run_cluster_point
         from repro.experiments import build_components
 
         exp = _experiment_config(args)
@@ -576,7 +576,7 @@ def _cmd_cosim(args: argparse.Namespace) -> int:
         # The sweep's own point function, so one rate runs exactly as
         # that rate would inside `cosim sweep`.
         with drains as executor:
-            _point, result = _run_rate_point(
+            _point, result = _run_cluster_point(
                 args.rate,
                 cost_model=cost,
                 scheme=scheme,

@@ -1,8 +1,8 @@
-"""Multi-device DRAM backend for the co-simulation loop.
+"""The DRAM backend of the co-simulation loop.
 
-:class:`ShardedDramBackend` implements the driver's backend protocol
-(see :class:`repro.cosim.driver.SingleDeviceBackend`) for one replica
-whose experts are spread across N NDP devices by a
+:class:`ShardedDramBackend` is the one backend
+:class:`~repro.cosim.driver.CosimDriver` drains through.  It models one
+replica whose experts are spread across N NDP devices by a
 :class:`~repro.cluster.sharding.ShardingPolicy`:
 
 - each device is its own :class:`~repro.dram.controller.MemoryController`
@@ -21,9 +21,9 @@ whose experts are spread across N NDP devices by a
   activation round trip on the PCIe link, surfaced through
   ``transfer_seconds`` and folded into contention by the driver.
 
-With one device the backend is a pass-through: the single controller's
-stats are returned verbatim, so a 1-device replica is bit-identical to
-the single-device cosim path (the pinned equivalence anchor).
+With one device (the driver's default, and the single-device sweep's
+backend) every call is a pass-through to one cold controller: its
+stats are returned verbatim and nothing crosses a device boundary.
 """
 
 from __future__ import annotations
@@ -54,7 +54,30 @@ _SUM_FIELDS = (
 
 
 class ShardedDramBackend:
-    """One replica's memory system: N NDP devices plus the link."""
+    """One replica's memory system: N NDP devices plus the link.
+
+    The backend protocol the driver calls:
+
+    - ``simulate(addrs, arrive_cycles, flags, request_ids=None)`` ->
+      ``(ControllerStats, RequestTimings)`` with per-element timings in
+      input order, every device's controller built cold (controllers
+      carry channel state across ``simulate`` calls, and each
+      measurement must start cold);
+    - ``simulate_isolated(addrs, arrive_cycles, flags, request_ids,
+      memo)`` -> per-element completion cycles in input order for a
+      serialized isolation stream: each contiguous run of
+      ``request_ids`` is one segment of
+      :func:`~repro.dram.segments.drain_segments`, looked up in and
+      stored to the :class:`~repro.dram.segments.SegmentMemo`
+      ``memo``; always drained in-process, and exactly equal to
+      ``simulate`` on the same stream;
+    - ``transfer_seconds(trace)`` -> per-request inter-device transfer
+      seconds (``{}`` when nothing crosses a device boundary -- one
+      device by construction).
+
+    ``executor`` is the caller-owned drain pool (``None``: serial
+    drains).
+    """
 
     def __init__(
         self,

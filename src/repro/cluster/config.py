@@ -20,16 +20,16 @@ class ClusterConfig:
     """Fleet shape for one cluster sweep.
 
     ``activation_bytes_per_token`` sizes the AMove a request pays per
-    remote device its experts live on (0 disables transfer costs --
-    together with ``replicated`` sharding and one replica this makes
-    the cluster path bit-identical to the single-device cosim sweep,
-    the pinned equivalence anchor).
+    remote device its experts live on (0 disables transfer costs).
+    The defaults (one device, zero activation bytes) are also the
+    single-device cosim sweep's fleet: that sweep runs as one
+    ``replicated`` replica of this config.
     """
 
     #: replica counts to sweep (one capacity curve per entry)
     replicas: tuple[int, ...] = (1, 2)
     #: NDP devices backing each replica (sharding spreads experts
-    #: across them; 1 device degenerates to the single-controller path)
+    #: across them; 1 device is a pass-through to one controller)
     devices_per_replica: int = 1
     #: sharding policies to compare (one curve family per entry)
     policies: tuple[str, ...] = ("replicated",)

@@ -12,13 +12,14 @@ offered load R at p99 <= X*.
 
 Degenerate anchor: one replica, ``replicated`` sharding, one device
 per replica, zero activation bytes is bit-identical to
-:func:`repro.cosim.sweep.run_load_sweep` on the same arguments (the
-equivalence CI asserts it), so cluster curves and single-device curves
+:func:`repro.cosim.sweep.run_load_sweep` on the same arguments by
+construction: the single-device sweep *is* that curve of
+:func:`_run_cluster_point`, so cluster curves and single-device curves
 live on the same scale.
 
-The grid runs through the single-device sweep's executor,
+Both sweeps run through one executor,
 :func:`repro.cosim.sweep.run_sweep_grid`, with :func:`_run_cluster_point`
-as its point function, so cluster sweeps share its checkpoint/resume,
+as their one point function, so they share its checkpoint/resume,
 worker pool, interruption, failed-point isolation and SLO step.
 """
 
@@ -41,7 +42,7 @@ from repro.workloads.serialization import check_format_version
 from repro.cluster.balancer import assign_replicas
 from repro.cluster.backend import ShardedDramBackend
 from repro.cluster.config import ClusterConfig
-from repro.cosim.driver import CosimDriver, CosimResult, config_layers
+from repro.cosim.driver import CosimDriver, CosimResult, config_layers, make_estimator
 from repro.cosim.sweep import (
     SweepPoint,
     _point_from_run,
@@ -273,7 +274,9 @@ class ClusterSweepResult:
 
 def format_cluster_sweep(result: ClusterSweepResult) -> str:
     """Capacity table: one row per (replicas, policy) curve, plus the
-    device-count answer at each curve's knee."""
+    device-count answer at each curve's knee.  Failed and unconverged
+    points are counted per curve (the cosim table's ``conv`` column,
+    summed)."""
     rows = []
     for c in result.curves:
         worst = max((p.closed_p99 for p in c.points if not p.failed), default=0.0)
@@ -285,6 +288,7 @@ def format_cluster_sweep(result: ClusterSweepResult) -> str:
                 c.slo_capacity_rps,
                 worst,
                 sum(1 for p in c.points if p.failed),
+                sum(1 for p in c.points if not (p.failed or p.converged)),
             ]
         )
     header = [
@@ -294,6 +298,7 @@ def format_cluster_sweep(result: ClusterSweepResult) -> str:
         "slo cap (req/s)",
         "worst closed p99",
         "failed pts",
+        "unconv pts",
     ]
     return format_table(header, rows)
 
@@ -400,10 +405,7 @@ def run_cluster_sweep(
 
 
 def _run_cluster_point(
-    n_replicas: int,
-    policy: str,
-    rate: float,
-    *,
+    *key,
     cost_model: CostModel,
     scheme: Scheme,
     planner,
@@ -411,14 +413,27 @@ def _run_cluster_point(
     loop,
     n_requests: int,
     seed: int,
-    cluster: ClusterConfig,
+    cluster: ClusterConfig = ClusterConfig(replicas=(1,)),
     traffic=None,
     isolation_memo=None,
     executor=None,
 ) -> tuple[SweepPoint, Optional[CosimResult]]:
-    """One (curve, rate) point: generate the offered load, balance it,
-    run each replica's closed loop, merge.  The cluster point function
-    of :func:`~repro.cosim.sweep.run_sweep_grid`."""
+    """One grid point: generate the offered load, balance it, run each
+    replica's closed loop, merge.  The one point function of
+    :func:`~repro.cosim.sweep.run_sweep_grid` (and of ``repro
+    cosim``): module-level and built from picklable pieces, so points
+    can fan out over a process pool, and seeded per point, so results
+    do not depend on run order, the shared exact ``isolation_memo`` or
+    a drain ``executor``.
+
+    ``key`` is ``(n_replicas, policy, rate)`` on a cluster curve, or
+    ``(rate,)`` on the single-device sweep's curve ``()``: one
+    ``replicated`` replica of the default ``cluster`` (one device,
+    zero activation bytes).  With ``planner=None`` each replica runs
+    serving-only: one open-loop pass, reported as trivially converged.
+    """
+    *curve, rate = key
+    n_replicas, policy = curve or (1, "replicated")
     requests = point_requests(rate, n_requests, seed, serving, traffic)
     assignment = assign_replicas(
         requests,
@@ -431,6 +446,14 @@ def _run_cluster_point(
     for replica in range(n_replicas):
         subset = [r for r, a in zip(requests, assignment) if a == replica]
         if not subset:
+            continue
+        if planner is None:
+            served = make_estimator(cost_model, scheme, serving).serve(subset)
+            runs.append(
+                CosimResult(
+                    scheme, converged=True, open_loop=served, closed_loop=served
+                )
+            )
             continue
         backend = ShardedDramBackend(
             planner.config,
@@ -455,7 +478,7 @@ def _run_cluster_point(
     if not runs:
         raise ValueError(f"no replica received requests at rate {rate}")
     if len(runs) == 1:
-        # Single-replica curves report the run verbatim -- the
-        # bit-identity anchor against the single-device sweep.
+        # One replica reports its run verbatim: the single-device
+        # sweep is this case, not a copy of it.
         return _point_from_run(rate, runs[0], traffic), runs[0]
     return _merged_point(rate, runs, traffic), None

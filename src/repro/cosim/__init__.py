@@ -9,7 +9,10 @@ back into the serving cost model, an expert-faithful replay planner
 (:class:`ExpertReplayPlanner`) targets the weight regions of the
 experts each request actually activated, and a load-sweep runner
 (:func:`run_load_sweep`) produces the closed-loop tail-latency
-hockey stick across an offered-load grid.  CLI surface: ``repro
+hockey stick across an offered-load grid.  The DRAM side is
+:class:`repro.cluster.ShardedDramBackend` with one device: a
+single-device run is the one-replica, one-device case of the cluster
+path, not a second implementation of it.  CLI surface: ``repro
 cosim`` and ``repro cosim sweep``.
 """
 
@@ -17,7 +20,6 @@ from repro.cosim.driver import (
     CosimDriver,
     CosimIteration,
     CosimResult,
-    SingleDeviceBackend,
     small_cosim_dram,
 )
 from repro.cosim.replay import (
@@ -47,7 +49,6 @@ __all__ = [
     "CosimIteration",
     "CosimResult",
     "ExpertReplayPlanner",
-    "SingleDeviceBackend",
     "ReplayTrace",
     "SweepInterrupted",
     "SweepPoint",

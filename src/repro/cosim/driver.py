@@ -40,9 +40,12 @@ the baseline is bit-identical to draining the whole serialized stream
 at once.  A sweep shares one memo across its points; a driver built
 without one gets its own.
 
-The DRAM side is a duck-typed backend (see :class:`SingleDeviceBackend`).
-Backends and drivers own no worker pool and need no closing: a caller
-that wants parallel drains hands the backend a
+The DRAM side is a :class:`~repro.cluster.backend.ShardedDramBackend`
+(its docstring states the backend protocol); a driver built without
+one gets the one-device backend, which passes every call straight
+through to one cold controller.  Backends and drivers own no worker
+pool and need no closing: a caller that wants parallel drains hands
+the backend a
 :class:`~repro.dram.parallel.ParallelDrainExecutor` it closes itself.
 
 At low offered load bursts never overlap, contention is zero, and the
@@ -61,13 +64,8 @@ import numpy as np
 
 from repro.core.strategies import Scheme
 from repro.dram.config import DRAMConfig, DRAMOrganization, LPDDR5X_8533
-from repro.dram.controller import ControllerStats, MemoryController
-from repro.dram.segments import (
-    ControllerSpec,
-    SegmentMemo,
-    drain_segments,
-    segment_starts,
-)
+from repro.dram.controller import ControllerStats
+from repro.dram.segments import SegmentMemo, segment_starts
 from repro.serving.engine import BatchConfig, BatchingEngine, PhaseCostModel
 from repro.serving.simulator import CostModel, ServingResult, ServingSimulator
 from repro.serving.workload import Request
@@ -92,68 +90,6 @@ def small_cosim_dram(n_channels: int = 2) -> DRAMConfig:
         ),
         timing=LPDDR5X_8533.timing,
     )
-
-
-class SingleDeviceBackend:
-    """Default DRAM backend: one memory device behind the cosim loop.
-
-    The driver measures contention by simulating a replay trace on a
-    *fresh* :class:`~repro.dram.controller.MemoryController` per
-    measurement (controllers carry channel state across ``simulate``
-    calls, and each measurement must start cold).  This class owns
-    that construction: DRAM config, scheduler window, and the
-    caller-owned drain ``executor`` (or ``None``: serial drains).
-
-    The backend protocol (duck-typed; :class:`repro.cluster.backend.
-    ShardedDramBackend` is the multi-device implementation):
-
-    - ``simulate(addrs, arrive_cycles, flags, request_ids=None)`` ->
-      ``(ControllerStats, RequestTimings)`` with per-element timings in
-      input order;
-    - ``simulate_isolated(addrs, arrive_cycles, flags, request_ids,
-      memo)`` -> per-element completion cycles in input order for a
-      serialized isolation stream: each contiguous run of
-      ``request_ids`` is one segment of
-      :func:`~repro.dram.segments.drain_segments`, looked up in and
-      stored to the :class:`~repro.dram.segments.SegmentMemo`
-      ``memo``; always drained in-process, and exactly equal to
-      ``simulate`` on the same stream;
-    - ``transfer_seconds(trace)`` -> per-request inter-device transfer
-      seconds (``{}`` when nothing crosses a device boundary -- the
-      single-device case by construction).
-    """
-
-    def __init__(self, dram_config, window: int = 64, executor=None) -> None:
-        self.config = dram_config
-        self.window = window
-        self.executor = executor
-
-    def simulate(self, addrs, arrive_cycles, flags, request_ids=None):
-        """Simulate one arrival stream on a cold controller; returns
-        ``(stats, per-element timings)`` in input order."""
-        controller = MemoryController(
-            self.config, window=self.window, executor=self.executor
-        )
-        return controller.simulate_arrays(
-            addrs, arrive_cycles, flags, detail=True
-        )
-
-    def simulate_isolated(self, addrs, arrive_cycles, flags, request_ids, memo):
-        """Completion cycles of a serialized isolation stream, one
-        segment per request run, through ``memo``."""
-        return drain_segments(
-            ControllerSpec(self.config, window=self.window),
-            addrs,
-            arrive_cycles,
-            flags,
-            segment_starts(request_ids),
-            memo,
-        )
-
-    def transfer_seconds(self, trace) -> dict[int, float]:
-        """Per-request inter-device activation-transfer seconds.  One
-        device, no boundaries to cross: always empty."""
-        return {}
 
 
 class _SurchargeSearch:
@@ -432,7 +368,8 @@ class CosimDriver:
     picks the engine and its admission knobs; ``loop``
     (:class:`~repro.experiments.config.LoopConfig`) holds the
     fixed-point knobs and the DRAM scheduler window.  ``backend``
-    defaults to a serial :class:`SingleDeviceBackend`.
+    defaults to a serial one-device
+    :class:`~repro.cluster.backend.ShardedDramBackend`.
     ``isolation_memo`` (:class:`~repro.dram.segments.SegmentMemo`)
     holds the isolation-baseline segments already drained; a sweep
     shares one across its points, and a driver built without one gets
@@ -455,7 +392,10 @@ class CosimDriver:
         self.serving, self.loop = config_layers(serving, loop)
         self.estimator = make_estimator(cost_model, scheme, self.serving)
         if backend is None:
-            backend = SingleDeviceBackend(
+            # Lazy: repro.cluster reaches this module through its sweep.
+            from repro.cluster.backend import ShardedDramBackend
+
+            backend = ShardedDramBackend(
                 planner.config, window=self.loop.scheduler_window
             )
         self.backend = backend
@@ -473,8 +413,8 @@ class CosimDriver:
     ) -> np.ndarray:
         """Fold the backend's per-request inter-device transfer costs
         (seconds) into per-request contention (cycles).  Empty
-        transfer maps -- always, for the single-device backend --
-        leave the contention array untouched, byte for byte."""
+        transfer maps -- always, for a one-device backend -- leave
+        the contention array untouched, byte for byte."""
         xfer = self.backend.transfer_seconds(trace)
         if not xfer:
             return contention

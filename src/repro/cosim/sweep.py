@@ -8,11 +8,13 @@ Results serialize to a versioned JSON document (same versioning
 conventions as :mod:`repro.workloads.serialization`) and render as a
 table via :mod:`repro.analysis.report`.
 
-:func:`run_sweep_grid` is the one sweep executor: it runs a grid of
-(curve, rate) points through one module-level point function, here
-:func:`_run_rate_point` over a one-curve grid and, for
-:func:`repro.cluster.sweep.run_cluster_sweep`, its (replicas, policy,
-rate) grid.  Fault tolerance lives there, so both runners get it:
+:func:`run_sweep_grid` is the one sweep executor and
+:func:`repro.cluster.sweep._run_cluster_point` the one point function:
+this module's one-curve grid (curve key ``()``) runs as that
+function's one-replica, one-device curve, and
+:func:`repro.cluster.sweep.run_cluster_sweep` runs its (replicas,
+policy, rate) grid through it.  Fault tolerance lives in the
+executor, so both runners get it:
 with a ``checkpoint_path``, every completed point is durably appended
 to a ``*.sweep.ckpt`` sidecar (JSONL, one fsynced line per point,
 keyed by its grid key) the moment it finishes, SIGINT/SIGTERM raise
@@ -44,13 +46,7 @@ from repro.serving.workload import RequestGenerator
 from repro.util.atomic_io import atomic_write_json, durable_append
 from repro.workloads.serialization import check_format_version
 
-from repro.cosim.driver import (
-    CosimDriver,
-    CosimResult,
-    SingleDeviceBackend,
-    config_layers,
-    make_estimator,
-)
+from repro.cosim.driver import CosimResult, config_layers
 
 SWEEP_FORMAT_VERSION = 1
 SWEEP_CKPT_VERSION = 2
@@ -344,62 +340,6 @@ def sweep_provenance(
     return config
 
 
-def _run_rate_point(
-    rate: float,
-    *,
-    cost_model: CostModel,
-    scheme: Scheme,
-    planner,
-    serving,
-    loop,
-    n_requests: int,
-    seed: int,
-    traffic=None,
-    isolation_memo=None,
-    executor=None,
-) -> tuple[SweepPoint, CosimResult]:
-    """Run the closed loop at one offered-load point.
-
-    The single-device point function of :func:`run_sweep_grid`:
-    module-level and built only from picklable pieces, so grid points
-    can fan out over a process pool.  Each point builds its own
-    generator and driver from the same seed, so results are identical
-    whether points run serially, in parallel, or in any order.  The
-    sweep's ``isolation_memo`` is exact, so what earlier points left in
-    it changes no result; neither does a caller-owned drain
-    ``executor`` (:class:`~repro.dram.parallel.ParallelDrainExecutor`).
-
-    With ``planner=None`` the point runs serving-only (open loop, no
-    DRAM feedback): the configured engine's estimator serves the rate
-    once with zero surcharges and the result is wrapped as a
-    trivially-converged :class:`CosimResult` whose open and closed
-    loops coincide.
-    """
-    requests = point_requests(rate, n_requests, seed, serving, traffic)
-    if planner is None:
-        result = make_estimator(cost_model, scheme, serving).serve(requests)
-        run = CosimResult(
-            scheme=scheme,
-            converged=True,
-            open_loop=result,
-            closed_loop=result,
-        )
-    else:
-        backend = SingleDeviceBackend(
-            planner.config, window=loop.scheduler_window, executor=executor
-        )
-        run = CosimDriver(
-            cost_model,
-            scheme,
-            planner,
-            serving=serving,
-            loop=loop,
-            backend=backend,
-            isolation_memo=isolation_memo,
-        ).run(requests)
-    return _point_from_run(rate, run, traffic), run
-
-
 def _traffic_columns(closed, traffic) -> dict:
     """Per-tenant and flash-window latency columns for one closed run.
 
@@ -622,9 +562,10 @@ def run_sweep_grid(
     One SLO threshold serves every curve so curves are comparable:
     ``slo_p99_seconds`` if given (recorded even when every point
     failed), else 5x the closed p99 of the first curve's lowest-rate
-    point -- "how far can load grow before the tail is 5x the
-    uncongested tail".  Each curve's capacity is read against it with
-    :func:`slo_capacity`.
+    completed point -- "how far can load grow before the tail is 5x
+    the uncongested tail".  Each curve's capacity is read against it
+    with :func:`slo_capacity` over all its points, so a failed point
+    caps the capacity as a violation would.
     """
     if not rates:
         raise ValueError("rates must be non-empty")
@@ -748,9 +689,8 @@ def run_sweep_grid(
         result.slo_auto = True
     if result.slo_p99_seconds > 0:
         for curve in curves.values():
-            ok = [p for p in curve.points if not p.failed]
-            if ok:
-                curve.slo_capacity_rps = slo_capacity(ok, result.slo_p99_seconds)
+            # Failed points stay in: they cap the capacity as violations.
+            curve.slo_capacity_rps = slo_capacity(curve.points, result.slo_p99_seconds)
     if checkpoint_path is not None:
         # The grid is complete; the sidecar has served its purpose.
         checkpoint_path.unlink(missing_ok=True)
@@ -797,7 +737,9 @@ def run_load_sweep(
     checkpoint or recorded as failed -- only freshly-run points carry
     a live :class:`CosimResult`.
 
-    The grid runs through :func:`run_sweep_grid`, which defines
+    The grid is one curve (key ``()``) of
+    :func:`repro.cluster.sweep._run_cluster_point` -- one replica, one
+    device -- run through :func:`run_sweep_grid`, which defines
     ``workers``, ``checkpoint_path``/``resume`` (durable per-point
     progress), ``on_point(rate, point)``, failed-point isolation and
     the SLO threshold.
@@ -810,6 +752,9 @@ def run_load_sweep(
     against a different scenario is rejected).  ``None`` keeps the
     legacy single-tenant path bit-identical.
     """
+    # Lazy: repro.cluster imports this module.
+    from repro.cluster.sweep import _run_cluster_point
+
     serving, loop = config_layers(serving, loop)
     sweep = SweepResult(
         scheme=scheme.value,
@@ -827,7 +772,7 @@ def run_load_sweep(
         sweep,
         {(): sweep},
         rates,
-        _run_rate_point,
+        _run_cluster_point,
         dict(
             cost_model=cost_model,
             scheme=scheme,

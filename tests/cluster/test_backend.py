@@ -8,6 +8,12 @@ import pytest
 from repro.cluster.backend import ShardedDramBackend
 from repro.cosim import ExpertReplayPlanner, small_cosim_dram
 from repro.dram.controller import MemoryController
+from repro.dram.segments import (
+    ControllerSpec,
+    SegmentMemo,
+    drain_segments,
+    segment_starts,
+)
 
 
 EXPERT_BYTES = 1 << 17
@@ -61,6 +67,30 @@ def test_single_device_is_controller_passthrough(trace_arrays):
     assert backend.transfer_seconds(
         FakeTrace(addrs, request_ids)
     ) == {}
+    # Isolation: a serialized stream (one run per request, each run
+    # keeping its relative arrival offsets, runs far apart) drains
+    # segment by segment exactly as drain_segments does directly, and
+    # both equal one cold simulate on the same stream.
+    order = np.argsort(request_ids, kind="stable")
+    ids = request_ids[order]
+    starts = segment_starts(ids)
+    lengths = np.diff(np.append(starts, len(ids)))
+    run = np.repeat(np.arange(len(starts)), lengths)
+    rel = arrive[order] - np.repeat(arrive[order][starts], lengths)
+    serial_arrive = run * 100_000 + rel
+    stream = (addrs[order], serial_arrive, flags[order])
+    iso = backend.simulate_isolated(*stream, ids, SegmentMemo())
+    direct = drain_segments(
+        ControllerSpec(small_cosim_dram(), window=64),
+        *stream,
+        segment_starts(ids),
+        SegmentMemo(),
+    )
+    assert np.array_equal(iso, direct)
+    _, cold = MemoryController(small_cosim_dram(), window=64).simulate_arrays(
+        *stream, detail=True
+    )
+    assert np.array_equal(iso, cold.complete_cycles)
 
 
 def test_multi_device_merges_counters(planner, trace_arrays):

@@ -2,11 +2,13 @@
 serialization."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.cluster import (
     ClusterConfig,
+    ClusterCurve,
     ClusterSweepResult,
     format_cluster_sweep,
     run_cluster_sweep,
@@ -129,6 +131,24 @@ def test_format_cluster_sweep(cluster_sweep):
     table = format_cluster_sweep(result)
     assert "replicas" in table and "slo cap (req/s)" in table
     assert "replicated" in table
+    assert "unconv pts" in table
+    # A hand-built curve with one non-converged and one failed point:
+    # each is counted in its own column, neither in the other's.
+    ok = result.curve(1, "replicated").points[0]
+    assert ok.converged and not ok.failed
+    curve = ClusterCurve(
+        replicas=3,
+        policy="replicated",
+        points=[
+            ok,
+            replace(ok, converged=False),
+            replace(ok, converged=False, failed=True, error="boom"),
+        ],
+    )
+    table = format_cluster_sweep(replace(result, curves=[curve]))
+    header, _rule, row = table.splitlines()
+    assert header.split()[-4:] == ["failed", "pts", "unconv", "pts"]
+    assert row.split()[-2:] == ["1", "1"]
 
 
 def test_validation(cost, planner):

@@ -33,7 +33,8 @@ from repro.cosim import (
     run_load_sweep,
     small_cosim_dram,
 )
-from repro.cosim.sweep import _run_rate_point, load_checkpoint
+from repro.cluster.sweep import _run_cluster_point
+from repro.cosim.sweep import load_checkpoint
 from repro.experiments import LoopConfig, ServingConfig
 from repro.faults import interrupt_after
 from repro.serving.simulator import CostModel
@@ -319,7 +320,7 @@ def _kill_once_point(rate, *, sentinel, **kwargs):
     if rate == RATES[0] and not os.path.exists(sentinel):
         open(sentinel, "w").close()
         os.kill(os.getpid(), signal.SIGKILL)
-    return _run_rate_point(rate, **kwargs)
+    return _run_cluster_point(rate, **kwargs)
 
 
 def _kill_always_point(rate, *, sentinel, **kwargs):
@@ -327,17 +328,17 @@ def _kill_always_point(rate, *, sentinel, **kwargs):
     attempt."""
     if rate == RATES[0]:
         os.kill(os.getpid(), signal.SIGKILL)
-    return _run_rate_point(rate, **kwargs)
+    return _run_cluster_point(rate, **kwargs)
 
 
 def run_with_point(name: str, sentinel: str):
     """The RATES sweep at ``workers=2`` with the named killer as its
     point function.  Run in a subprocess: a killer that ever ran
     outside a pool worker would kill the test process itself."""
-    import repro.cosim.sweep as sweep_module
+    import repro.cluster.sweep as sweep_module
 
     killer = globals()[name]
-    sweep_module._run_rate_point = functools.partial(killer, sentinel=sentinel)
+    sweep_module._run_cluster_point = functools.partial(killer, sentinel=sentinel)
     return run(workers=2)
 
 

@@ -17,7 +17,8 @@ from repro.cosim import (
     SyntheticReplayPlanner,
     small_cosim_dram,
 )
-from repro.cosim.driver import SingleDeviceBackend, make_estimator
+from repro.cluster.backend import ShardedDramBackend
+from repro.cosim.driver import make_estimator
 from repro.dram.controller import MemoryController
 from repro.dram.parallel import ParallelDrainExecutor
 from repro.experiments import LoopConfig, ServingConfig
@@ -161,7 +162,7 @@ def test_drain_executor_bit_identical_loop(parts):
     loop = LoopConfig(max_iterations=16)
     serial = CosimDriver(cost, Scheme.MD_LB, planner, loop=loop).run(requests)
     with ParallelDrainExecutor(2) as executor:
-        backend = SingleDeviceBackend(
+        backend = ShardedDramBackend(
             planner.config, window=loop.scheduler_window, executor=executor
         )
         pooled = CosimDriver(

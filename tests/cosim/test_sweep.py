@@ -5,14 +5,17 @@ from dataclasses import replace
 
 import pytest
 
+from repro.cluster import ClusterConfig, ClusterCurve, ClusterSweepResult
 from repro.core.strategies import Scheme
 from repro.cosim import (
     ExpertReplayPlanner,
     SweepResult,
     format_sweep,
     run_load_sweep,
+    slo_capacity,
     small_cosim_dram,
 )
+from repro.cosim.sweep import _failed_point, run_sweep_grid
 from repro.dram.segments import SegmentMemo
 from repro.experiments import (
     LoopConfig,
@@ -188,3 +191,43 @@ def test_decode_heavy_json_identical_serial_and_pooled():
     serial, _ = run_experiment(config, workers=0)
     pooled, _ = run_experiment(config, workers=2)
     assert json.dumps(serial.to_dict()) == json.dumps(pooled.to_dict())
+
+
+#: rate -> closed p99 (seconds) of the scripted grid; None raises
+SLO_GRID = {1.0: 1e-3, 2.0: None, 4.0: 2e-3}
+
+
+def _scripted_point(*key, **_kwargs):
+    """Point function replaying ``SLO_GRID``: its middle rate raises."""
+    rate = key[-1]
+    p99 = SLO_GRID[rate]
+    if p99 is None:
+        raise RuntimeError("point blew up")
+    point = replace(
+        _failed_point(rate, RuntimeError()),
+        failed=False, error="", converged=True, closed_p99=p99,
+    )
+    return point, None
+
+
+@pytest.mark.parametrize("kind", ["single", "cluster"])
+def test_slo_capacity_counts_failed_points(kind):
+    """A failed point is an SLO violation: the capacity stops below it
+    instead of reading past it to a compliant higher rate."""
+    header = dict(scheme="md+lb", arrival="poisson", n_requests=1, seed=0)
+    if kind == "single":
+        doc = SweepResult(**header)
+        curves = {(): doc}
+    else:
+        doc = ClusterSweepResult(**header, cluster=ClusterConfig(replicas=(1,)))
+        curves = {(1, "replicated"): ClusterCurve(replicas=1, policy="replicated")}
+        doc.curves = list(curves.values())
+    run_sweep_grid(
+        doc, curves, list(SLO_GRID), _scripted_point, {}, slo_p99_seconds=5e-3
+    )
+    (curve,) = curves.values()
+    assert [p.failed for p in curve.points] == [False, True, False]
+    assert curve.slo_capacity_rps == slo_capacity(curve.points, 5e-3) == 1.0
+    if kind == "cluster":
+        assert doc.devices_for_load(1.0) == 1
+        assert doc.devices_for_load(4.0) is None
