@@ -14,8 +14,11 @@ replica whose experts are spread across N NDP devices by a
   share no timing state -- the same independence the per-channel
   parallel drain exploits one level down), and merges per-element
   timings back into input order;
+- main drains take the driver's segment memo, so each device's
+  controller skips busy periods it has already drained (serial
+  drains only: the drain pool bypasses it);
 - isolation baselines (``simulate_isolated``) drain each device's
-  slice segment by segment through the driver's segment memo
+  slice segment by segment through the same memo
   (:mod:`repro.dram.segments`), always in-process;
 - accesses landing off a request's home device additionally pay an
   activation round trip on the PCIe link, surfaced through
@@ -58,11 +61,12 @@ class ShardedDramBackend:
 
     The backend protocol the driver calls:
 
-    - ``simulate(addrs, arrive_cycles, flags, request_ids=None)`` ->
-      ``(ControllerStats, RequestTimings)`` with per-element timings in
-      input order, every device's controller built cold (controllers
-      carry channel state across ``simulate`` calls, and each
-      measurement must start cold);
+    - ``simulate(addrs, arrive_cycles, flags, request_ids=None,
+      memo=None)`` -> ``(ControllerStats, RequestTimings)`` with
+      per-element timings in input order, every device's controller
+      built cold (controllers carry channel state across ``simulate``
+      calls, and each measurement must start cold); ``memo`` is the
+      optional exact busy-period memo every device's drain shares;
     - ``simulate_isolated(addrs, arrive_cycles, flags, request_ids,
       memo)`` -> per-element completion cycles in input order for a
       serialized isolation stream: each contiguous run of
@@ -128,15 +132,16 @@ class ShardedDramBackend:
 
     # -- backend protocol --------------------------------------------------
 
-    def simulate(self, addrs, arrive_cycles, flags, request_ids=None):
+    def simulate(self, addrs, arrive_cycles, flags, request_ids=None, memo=None):
         """Route the trace across devices, simulate each device's
-        controller cold, and merge timings back into input order."""
+        controller cold, and merge timings back into input order.
+        Devices share ``memo``; its keys carry the controller spec."""
         if self.n_devices == 1 or len(addrs) == 0:
             controller = MemoryController(
                 self.config, window=self.window, executor=self.executor
             )
             return controller.simulate_arrays(
-                addrs, arrive_cycles, flags, detail=True
+                addrs, arrive_cycles, flags, detail=True, memo=memo
             )
         if request_ids is None:
             raise ValueError(
@@ -163,7 +168,7 @@ class ShardedDramBackend:
                 self.config, window=self.window, executor=self.executor
             )
             stats, timings = controller.simulate_arrays(
-                addrs[mask], arrive_cycles[mask], flags[mask], detail=True
+                addrs[mask], arrive_cycles[mask], flags[mask], detail=True, memo=memo
             )
             per_device.append(stats)
             first[mask] = timings.first_command_cycles

@@ -415,7 +415,7 @@ def _run_cluster_point(
     seed: int,
     cluster: ClusterConfig = ClusterConfig(replicas=(1,)),
     traffic=None,
-    isolation_memo=None,
+    drain_memo=None,
     executor=None,
 ) -> tuple[SweepPoint, Optional[CosimResult]]:
     """One grid point: generate the offered load, balance it, run each
@@ -423,7 +423,7 @@ def _run_cluster_point(
     :func:`~repro.cosim.sweep.run_sweep_grid` (and of ``repro
     cosim``): module-level and built from picklable pieces, so points
     can fan out over a process pool, and seeded per point, so results
-    do not depend on run order, the shared exact ``isolation_memo`` or
+    do not depend on run order, the shared exact ``drain_memo`` or
     a drain ``executor``.
 
     ``key`` is ``(n_replicas, policy, rate)`` on a cluster curve, or
@@ -472,7 +472,7 @@ def _run_cluster_point(
             serving=serving,
             loop=loop,
             backend=backend,
-            isolation_memo=isolation_memo,
+            drain_memo=drain_memo,
         )
         runs.append(driver.run(subset))
     if not runs:

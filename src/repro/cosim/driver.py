@@ -37,8 +37,11 @@ whose content (addresses, flags, relative arrival offsets) and
 starting open rows already drained -- in an earlier iteration, or at
 an earlier rate point of the same sweep -- are not drained again, and
 the baseline is bit-identical to draining the whole serialized stream
-at once.  A sweep shares one memo across its points; a driver built
-without one gets its own.
+at once.  The same memo serves the main replays: each device's
+controller skips re-draining busy periods (a burst's requests arriving
+together on an idle channel) it has already drained, exactly
+(:mod:`repro.dram.controller`).  A sweep shares one memo across its
+points; a driver built without one gets its own.
 
 The DRAM side is a :class:`~repro.cluster.backend.ShardedDramBackend`
 (its docstring states the backend protocol); a driver built without
@@ -370,10 +373,10 @@ class CosimDriver:
     fixed-point knobs and the DRAM scheduler window.  ``backend``
     defaults to a serial one-device
     :class:`~repro.cluster.backend.ShardedDramBackend`.
-    ``isolation_memo`` (:class:`~repro.dram.segments.SegmentMemo`)
-    holds the isolation-baseline segments already drained; a sweep
-    shares one across its points, and a driver built without one gets
-    a private memo.
+    ``drain_memo`` (:class:`~repro.dram.segments.SegmentMemo`) holds
+    the isolation-baseline segments and main-replay busy periods
+    already drained; a sweep shares one across its points, and a
+    driver built without one gets a private memo.
     """
 
     def __init__(
@@ -384,7 +387,7 @@ class CosimDriver:
         serving=None,
         loop=None,
         backend=None,
-        isolation_memo: Optional[SegmentMemo] = None,
+        drain_memo: Optional[SegmentMemo] = None,
     ) -> None:
         self.cost_model = cost_model
         self.scheme = scheme
@@ -400,11 +403,9 @@ class CosimDriver:
             )
         self.backend = backend
         self._iso_cache: dict[int, int] = {}
-        #: isolation segments already drained; exact, so it may be
-        #: shared by every driver of one sweep
-        self.isolation_memo = (
-            SegmentMemo() if isolation_memo is None else isolation_memo
-        )
+        #: isolation segments and busy periods already drained; exact,
+        #: so it may be shared by every driver of one sweep
+        self.drain_memo = SegmentMemo() if drain_memo is None else drain_memo
 
     # -- contention measurement -------------------------------------------
 
@@ -466,7 +467,7 @@ class CosimDriver:
         bases = np.concatenate(([0], np.cumsum(gaps)[:-1]))
         arrive = np.repeat(bases, lengths) + rel
         complete = self.backend.simulate_isolated(
-            trace.addrs, arrive, trace.flags, rids, self.isolation_memo
+            trace.addrs, arrive, trace.flags, rids, self.drain_memo
         )
         return arrive, complete, starts
 
@@ -546,7 +547,11 @@ class CosimDriver:
                 result.converged = True
                 break
             stats, timings = self.backend.simulate(
-                trace.addrs, trace.arrive_cycles, trace.flags, trace.request_ids
+                trace.addrs,
+                trace.arrive_cycles,
+                trace.flags,
+                trace.request_ids,
+                memo=self.drain_memo,
             )
             result.final_trace = trace
             result.final_dram_stats = stats

@@ -528,11 +528,12 @@ def run_sweep_grid(
     sweep's one curve) to an object with ``points`` and
     ``slo_capacity_rps``.  Each point runs the module-level
     ``point_fn(*curve_key, rate, **point_kwargs)``, which returns
-    ``(SweepPoint, CosimResult or None)``.  ``point_kwargs`` gains an
-    ``isolation_memo``: one :class:`~repro.dram.segments.SegmentMemo`
-    per call, handed to every point's driver (a pooled point gets its
-    own copy), so the isolation baselines of one sweep drain each
-    distinct request once while separate sweeps share nothing.
+    ``(SweepPoint, CosimResult or None)``.  ``point_kwargs`` gains a
+    ``drain_memo``: one :class:`~repro.dram.segments.SegmentMemo` per
+    call, handed to every point's driver (a pooled point gets its own
+    copy), so one sweep drains each distinct isolation request and
+    each repeated main-replay busy period once while separate sweeps
+    share nothing.
     ``result`` is the document being filled: its header fingerprints
     the checkpoint, and it receives the SLO threshold.  Returns the
     live :class:`CosimResult` of every freshly run point by grid key
@@ -593,9 +594,9 @@ def run_sweep_grid(
                 )
     todo = [key for key in grid if key not in done]
     runs: dict[tuple, CosimResult] = {}
-    # One isolation memo per sweep: exact, so sharing it across points
+    # One drain memo per sweep: exact, so sharing it across points
     # changes no result, and a fresh one per call keeps runs apart.
-    point_kwargs = {**point_kwargs, "isolation_memo": SegmentMemo()}
+    point_kwargs = {**point_kwargs, "drain_memo": SegmentMemo()}
     pool_points = workers >= 2 and len(todo) >= 2
     pool = None
     if pool_points:

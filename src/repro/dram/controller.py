@@ -52,10 +52,21 @@ no :class:`~repro.dram.request.Request` objects anywhere.
 Request list into those columns and scatters the per-request outputs
 (decoded coordinates, first-command/completion cycles, row-hit class)
 back onto the objects.
+
+Main drains may take a :class:`~repro.dram.segments.SegmentMemo`
+(``simulate_arrays(..., memo=...)``) that skips re-draining repeated
+*busy periods*: when a channel's window empties with arrivals still
+outstanding, the drain jumps to the next arrival ``a0``, and the run
+of requests arriving at ``a0`` whose outcome is already stored (same
+spec, content and open rows, every timing horizon expired, no later
+arrival able to compete) is applied instead of drained -- exactly;
+see :mod:`repro.dram.busy_period`.  Command recording, streaming
+feeds and parallel drains bypass the memo.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import heapq
 import logging
@@ -150,6 +161,26 @@ class RequestTimings:
         return self.first_command_cycles.shape[0]
 
 
+@dataclass(frozen=True)
+class ControllerSpec:
+    """Everything that shapes a controller's schedule: part of every
+    memo key, so one memo can serve several devices or geometries."""
+
+    config: DRAMConfig
+    window: int = 64
+    policy: SchedulerPolicy = SchedulerPolicy.FR_FCFS
+    starvation_cap: int = 512
+
+    def build(self) -> "MemoryController":
+        """A cold, serial controller for this spec."""
+        return MemoryController(
+            self.config,
+            policy=self.policy,
+            window=self.window,
+            starvation_cap=self.starvation_cap,
+        )
+
+
 # Candidate command codes used by the indexed scheduler.
 _ACT, _PRE, _COL = 0, 1, 2
 
@@ -187,6 +218,13 @@ class MemoryController:
         self.workers = workers
         self._executor = executor
         self._owns_executor = executor is None
+
+    @property
+    def spec(self) -> ControllerSpec:
+        """The schedule-shaping parameters (memo key part)."""
+        return ControllerSpec(
+            self.config, self.window, self.policy, self.starvation_cap
+        )
 
     # -- parallel-drain lifecycle ------------------------------------------
 
@@ -267,6 +305,7 @@ class MemoryController:
         arrive_cycles=None,
         flags=None,
         detail: bool = False,
+        memo=None,
     ) -> ControllerStats | tuple[ControllerStats, RequestTimings]:
         """Array-native :meth:`simulate`: drive the scheduler straight
         from trace columns, constructing no ``Request`` objects.
@@ -286,6 +325,11 @@ class MemoryController:
         queue-delay percentiles, needed by consumers (the serving
         co-simulation) that map DRAM queueing back onto the individual
         upstream requests that caused it.
+
+        ``memo`` (a :class:`~repro.dram.segments.SegmentMemo`) lets
+        serial channel drains skip busy periods already drained with
+        the same spec, content and open rows (see the module
+        docstring); results are identical with or without it.
         """
         stats = self._empty_stats()
         try:
@@ -318,7 +362,9 @@ class MemoryController:
             is_write = (np.asarray(flags) & FLAG_WRITE).astype(bool)
         if not isinstance(addrs, (list, np.ndarray)):
             addrs = np.asarray(addrs)
-        _, first, complete, hit = self._simulate_columns(addrs, arrive, is_write, stats)
+        _, first, complete, hit = self._simulate_columns(
+            addrs, arrive, is_write, stats, memo
+        )
         if detail:
             return stats, RequestTimings(
                 first_command_cycles=first,
@@ -495,13 +541,15 @@ class MemoryController:
         arrive: np.ndarray,
         is_write: np.ndarray,
         stats: ControllerStats,
+        memo=None,
     ) -> tuple:
         """Shared core: simulate decoded columns, fill ``stats``, and
         return ``(batch, first_command, complete, row_hit)`` arrays in
         input order.
 
         Channels are timing-independent, so each channel's queue is
-        drained separately and stats are merged.
+        drained separately and stats are merged.  ``memo`` serves the
+        serial drains (the parallel path bypasses it).
         """
         org = self.config.organization
         n = len(arrive)
@@ -552,6 +600,13 @@ class MemoryController:
                     o_complete,
                     o_hit,
                     stats,
+                    memo,
+                    (
+                        bf_sorted[lo:hi],
+                        row_sorted[lo:hi],
+                        col_sorted[lo:hi],
+                        wr_sorted[lo:hi],
+                    ),
                 )
                 idxs = order[lo:hi]
                 first[idxs] = o_first
@@ -646,6 +701,8 @@ class MemoryController:
         o_complete: list[int],
         o_hit: list[int],
         stats: ControllerStats,
+        memo=None,
+        content: Optional[tuple] = None,
     ) -> tuple[int, int]:
         """Drain one channel's FIFO queue (requests given as parallel
         arrays of flat bank index / row / column / is-write /
@@ -659,8 +716,12 @@ class MemoryController:
         whole queue goes in as one final chunk, so the generator runs
         to completion without ever yielding for more input.  Returns
         ``(last_complete_cycle, idle_cycles)``.
+
+        ``memo`` is the busy-period memo (module docstring) and
+        ``content`` its key columns: contiguous arrays of flat bank,
+        row, column and write bit, parallel to the inputs.
         """
-        gen = self._drain_channel_gen(channel, stats)
+        gen = self._drain_channel_gen(channel, stats, memo=memo, content=content)
         next(gen)
         try:
             gen.send((bf, row, col, iswr, arr, o_first, o_complete, o_hit, None, True))
@@ -673,6 +734,8 @@ class MemoryController:
         channel: Channel,
         stats: ControllerStats,
         delays_out: Optional[np.ndarray] = None,
+        memo=None,
+        content: Optional[tuple] = None,
     ):
         """Resumable form of the per-channel drain loop.
 
@@ -724,6 +787,11 @@ class MemoryController:
         bit-identical to the single-feed run.  ``delays_out``/``gidx``
         may be omitted only for single-feed (eof) use, where outputs
         stay in the caller's ``o_*`` lists.
+
+        ``memo``/``content`` (see :meth:`_drain_channel`) are for
+        single-feed use only: the memo indexes ``content`` by request
+        position, which compaction would renumber.  Ignored while the
+        channel records commands.
         """
         t = channel.timing
         org = self.config.organization
@@ -775,6 +843,19 @@ class MemoryController:
         bpg = org.banks_per_group
         nbg = org.n_bankgroups
         bg_of = [(b // bpg) % nbg for b in range(n_banks)]
+
+        # Busy-period memo (module docstring).
+        if recording:
+            memo = None
+        if memo is not None:
+            # Imported here: drains without a memo never load it (or
+            # the hashlib it needs).
+            from repro.dram import busy_period as busy
+
+            if not busy.usable(t):
+                memo = None
+            key_prefix = busy.key_prefix(self.spec)
+        rec_left = 0  # requests of the segment being recorded still queued
 
         # Window bookkeeping: per-bank FIFO of in-window request seqs,
         # per-(bank, row) FIFO for row-hit heads, cached candidates.
@@ -915,6 +996,40 @@ class MemoryController:
                 nxt = arr[pos]
                 idle += nxt - cb
                 cb = nxt
+                if memo is not None and busy.horizons_expired(
+                    t, nxt, cb, dnext, lcc, raw, lact, hist, b_eact, b_epre, b_ecol
+                ):
+                    end = bisect.bisect_right(arr, nxt, pos)
+                    key = busy.segment_key(key_prefix, content, pos, end, b_open)
+                    entry = busy.lookup(memo, key, nxt, arr[end] if end < n else None)
+                    if entry is not None:
+                        # No later arrival can compete with the segment:
+                        # apply its stored outcome instead of draining it.
+                        regs, done = busy.apply(
+                            entry, nxt, pos, end,
+                            (cb, dnext, lcc, lbg, law, raw, lact), hist,
+                            (b_open, b_eact, b_epre, b_ecol, b_hits),
+                            (o_first, o_complete, o_hit), stats,
+                        )
+                        cb, dnext, lcc, lbg, law, raw, lact = regs
+                        if done > last_complete:
+                            last_complete = done
+                        alive[pos:end] = [False] * (end - pos)
+                        remaining -= end - pos
+                        pos = end
+                        continue
+                    # Drain it; store the outcome at its last retirement
+                    # if no later arrival has been admitted by then.
+                    rec_key, rec_a0, rec_lo, rec_end = key, nxt, pos, end
+                    rec_left = end - pos
+                    rec_hits = b_hits[:]
+                    rec_stats = (
+                        stats.precharges,
+                        stats.activates,
+                        stats.row_conflicts,
+                        stats.row_misses,
+                        stats.row_hits,
+                    )
                 continue
 
             # Refresh cached candidates for banks whose queues or row
@@ -1219,6 +1334,16 @@ class MemoryController:
                     head_skips += 1
                 else:
                     head_skips = 0
+                if rec_left and s < rec_end:
+                    rec_left -= 1
+                    if not rec_left and pos == rec_end:
+                        busy.store(
+                            memo, rec_key, rec_a0, rec_lo, rec_end,
+                            (cb, dnext, lcc, lbg, law, raw, lact), hist,
+                            (b_open, b_eact, b_epre, b_ecol, b_hits, rec_hits),
+                            (bf, iswr, o_first, o_complete, o_hit),
+                            stats, rec_stats,
+                        )
 
         # Scatter queue delays for requests retired since the last
         # compaction (streaming mode; earlier chunks were emitted at

@@ -44,17 +44,18 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dram.config import DRAMConfig
-from repro.dram.controller import MemoryController, SchedulerPolicy
+from repro.dram.busy_period import horizons_expired
+from repro.dram.controller import ControllerSpec
 from repro.dram.parallel import ChannelState
 from repro.dram.request import FLAG_WRITE
 
-#: Default element budget of a :class:`SegmentMemo` (int32 completion
-#: offsets, so about 4 MB of offsets when full).
+#: Default element budget of a :class:`SegmentMemo`: one element per
+#: request outcome, 4 bytes for an isolation completion offset and 8
+#: (plus a small per-entry header) for a main-drain busy period, so at
+#: most about 8 MB when full.
 MEMO_MAX_ELEMENTS = 1 << 20
 
 _INT32_MAX = np.iinfo(np.int32).max
@@ -68,35 +69,22 @@ _CYCLE_FIELDS = (
 _LIST_CYCLE_FIELDS = ("act_history", "earliest_act", "earliest_pre", "earliest_col")
 
 
-@dataclass(frozen=True)
-class ControllerSpec:
-    """Everything that shapes a controller's schedule: part of every
-    memo key, so one memo can serve several devices or geometries."""
-
-    config: DRAMConfig
-    window: int = 64
-    policy: SchedulerPolicy = SchedulerPolicy.FR_FCFS
-    starvation_cap: int = 512
-
-    def build(self) -> MemoryController:
-        """A cold, serial controller for this spec."""
-        return MemoryController(
-            self.config,
-            policy=self.policy,
-            window=self.window,
-            starvation_cap=self.starvation_cap,
-        )
-
-
 class SegmentMemo:
     """Drained-segment outcomes keyed by spec, content and open rows.
 
-    Holds at most ``max_elements`` completion offsets; the oldest
-    entries are evicted first.  The counters say how each segment
-    drained: ``hits`` from the memo, ``misses`` drained and stored,
-    ``live`` drained unmemoized because a horizon was still live at
-    its first arrival, ``interleaved`` streams whose remainder drained
-    in one call because segments would have overlapped.
+    Serves two users: :func:`drain_segments` (isolation baselines) and
+    the busy-period memo of main drains
+    (``MemoryController.simulate_arrays(..., memo=...)``).  Holds at
+    most ``max_elements`` request outcomes across both; the oldest
+    entries are evicted first.
+
+    Isolation counters say how each segment drained: ``hits`` from the
+    memo, ``misses`` drained and stored, ``live`` drained unmemoized
+    because a horizon was still live at its first arrival,
+    ``interleaved`` streams whose remainder drained in one call
+    because segments would have overlapped.  Main-drain counters:
+    ``main_hits`` busy periods applied from the memo, ``main_misses``
+    eligible ones drained, ``main_stores`` drained ones stored.
     """
 
     def __init__(self, max_elements: int = MEMO_MAX_ELEMENTS) -> None:
@@ -109,27 +97,34 @@ class SegmentMemo:
         self.misses = 0
         self.live = 0
         self.interleaved = 0
+        self.main_hits = 0
+        self.main_misses = 0
+        self.main_stores = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
     @property
     def elements(self) -> int:
-        """Completion offsets currently held."""
+        """Request outcomes currently held."""
         return self._elements
 
     def get(self, key):
-        return self._entries.get(key)
+        hit = self._entries.get(key)
+        return None if hit is None else hit[1]
 
-    def put(self, key, offsets: np.ndarray, states: dict) -> None:
-        size = len(offsets)
+    def put(self, key, entry, size: int) -> bool:
+        """Store ``entry`` (the outcome of ``size`` requests) unless
+        the key is present or it alone exceeds the budget; returns
+        whether it was stored."""
         if size > self.max_elements or key in self._entries:
-            return
+            return False
         while self._elements + size > self.max_elements:
             oldest = next(iter(self._entries))
-            self._elements -= len(self._entries.pop(oldest)[0])
-        self._entries[key] = (offsets, states)
+            self._elements -= self._entries.pop(oldest)[0]
+        self._entries[key] = (size, entry)
         self._elements += size
+        return True
 
 
 def segment_starts(ids) -> np.ndarray:
@@ -143,22 +138,22 @@ def segment_starts(ids) -> np.ndarray:
 def _horizons_expired(channels, a0: int) -> bool:
     """True when no timing horizon of any channel can bind a command
     issued at or after cycle ``a0``."""
-    t = channels[0].timing
-    cas = min(t.tCL, t.tCWL)
-    for ch in channels:
-        if (
-            ch._cmd_bus_next > a0
-            or ch._data_bus_next - cas > a0
-            or ch._last_col_cycle + t.tCCD_L > a0
-            or ch._read_after_write_ok - t.tCL > a0
-            or ch._last_act_cycle + t.tRRD > a0
-            or any(h + t.tFAW > a0 for h in ch._act_history)
-        ):
-            return False
-        for b in ch.banks:
-            if b.earliest_act > a0 or b.earliest_pre > a0 or b.earliest_col > a0:
-                return False
-    return True
+    return all(
+        horizons_expired(
+            ch.timing,
+            a0,
+            ch._cmd_bus_next,
+            ch._data_bus_next,
+            ch._last_col_cycle,
+            ch._read_after_write_ok,
+            ch._last_act_cycle,
+            ch._act_history,
+            [b.earliest_act for b in ch.banks],
+            [b.earliest_pre for b in ch.banks],
+            [b.earliest_col for b in ch.banks],
+        )
+        for ch in channels
+    )
 
 
 def _shifted(state: ChannelState, delta: int, row_hits: list) -> ChannelState:
@@ -264,7 +259,7 @@ def drain_segments(
                     post = ChannelState.capture(ch)
                     deltas = [a - b for a, b in zip(post.row_hits, pre.row_hits)]
                     states[ci] = _shifted(post, -a0, deltas)
-                memo.put(key, offsets, states)
+                memo.put(key, (offsets, states), len(offsets))
         if k + 1 < len(starts) and any(
             ch._cmd_bus_next > first_arrivals[k + 1] for ch in channels
         ):

@@ -119,6 +119,34 @@ def test_multi_device_merges_counters(planner, trace_arrays):
     assert stats.queue_delay_p99 >= stats.queue_delay_mean >= 0.0
 
 
+@pytest.mark.parametrize("n_devices", [1, 2])
+def test_simulate_with_memo_is_exact(planner, trace_arrays, n_devices):
+    """Both the 1-device pass-through and the per-device path take the
+    busy-period memo; results equal the memo-less drain exactly."""
+    addrs, _, flags, request_ids = trace_arrays
+    # Each request's elements arrive together, the requests one after
+    # another with idle gaps, the whole round repeated: the same bursts
+    # reach each device's idle channels again and again.
+    order = np.argsort(request_ids, kind="stable")
+    rounds = 4
+    ids = np.tile(request_ids[order], rounds)
+    burst = segment_starts(ids)
+    lengths = np.diff(np.append(burst, len(ids)))
+    arrive = np.repeat(np.arange(len(burst)) * 3000, lengths).astype(np.int64)
+    stream = (np.tile(addrs[order], rounds), arrive, np.tile(flags, rounds))
+    backend = ShardedDramBackend(
+        small_cosim_dram(), n_devices=n_devices, policy="expert_parallel",
+        planner=planner,
+    )
+    memo = SegmentMemo()
+    stats, timings = backend.simulate(*stream, ids, memo=memo)
+    ref_stats, ref_timings = backend.simulate(*stream, ids)
+    assert memo.main_hits > 0
+    assert stats == ref_stats
+    for name in ("first_command_cycles", "complete_cycles", "queue_delays", "row_hits"):
+        assert np.array_equal(getattr(timings, name), getattr(ref_timings, name))
+
+
 def test_multi_device_needs_planner_and_request_ids(planner, trace_arrays):
     addrs, arrive, flags, _ = trace_arrays
     with pytest.raises(ValueError, match="planner"):

@@ -253,7 +253,7 @@ def test_memoized_isolation_baselines_equal_one_cold_drain(parts):
     for _ in range(2):  # cold, then served from the driver's memo
         latencies = driver._isolated_element_latencies(trace)
         assert np.array_equal(latencies, complete - arrive)
-    assert driver.isolation_memo.hits >= len(runs)
+    assert driver.drain_memo.hits >= len(runs)
 
     runs, arrive, complete = _serialized_reference(driver, trace, offsets=False)
     expected = {

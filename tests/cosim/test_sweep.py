@@ -162,8 +162,9 @@ def _recording_memos(monkeypatch):
 
 
 def test_isolation_memo_is_scoped_to_one_sweep(monkeypatch):
-    """Each sweep starts with an empty isolation memo: two identical
-    sweeps in one process drain exactly the same segments."""
+    """Each sweep starts with an empty drain memo: two identical sweeps
+    in one process drain exactly the same isolation segments and main
+    busy periods, so no memo state outlives its sweep."""
     memos = _recording_memos(monkeypatch)
     config = replace(get_preset("decode_heavy"), n_requests=20, rates=(1e5, 1e6))
     cost, scheme, planner = build_components(config)
@@ -178,7 +179,14 @@ def test_isolation_memo_is_scoped_to_one_sweep(monkeypatch):
     assert len(memos) == 2
     first, second = memos
     assert first.hits > 0 and first.misses > 0
-    counts = [(m.hits, m.misses, m.live, m.interleaved) for m in memos]
+    assert first.main_hits > 0 and first.main_stores > 0
+    counts = [
+        (
+            m.hits, m.misses, m.live, m.interleaved,
+            m.main_hits, m.main_misses, m.main_stores,
+        )
+        for m in memos
+    ]
     assert counts[0] == counts[1]
     assert results[0].to_dict() == results[1].to_dict()
 
