@@ -14,12 +14,9 @@ replica whose experts are spread across N NDP devices by a
   share no timing state -- the same independence the per-channel
   parallel drain exploits one level down), and merges per-element
   timings back into input order;
-- main drains take the driver's segment memo, so each device's
-  controller skips busy periods it has already drained (serial
-  drains only: the drain pool bypasses it);
-- isolation baselines (``simulate_isolated``) drain each device's
-  slice segment by segment through the same memo
-  (:mod:`repro.dram.segments`), always in-process;
+- drains take the driver's busy-period memo, so each device's
+  controller skips busy periods it has already drained (serial drains
+  only: the drain pool bypasses it);
 - accesses landing off a request's home device additionally pay an
   activation round trip on the PCIe link, surfaced through
   ``transfer_seconds`` and folded into contention by the driver.
@@ -37,7 +34,6 @@ import numpy as np
 
 from repro.cluster.sharding import ShardingPolicy, make_sharding_policy
 from repro.dram.controller import ControllerStats, MemoryController, RequestTimings
-from repro.dram.segments import ControllerSpec, drain_segments, segment_starts
 from repro.hw.pcie import PCIeLink
 from repro.hw.specs import PCIE_GEN4_X16
 
@@ -66,15 +62,8 @@ class ShardedDramBackend:
       per-element timings in input order, every device's controller
       built cold (controllers carry channel state across ``simulate``
       calls, and each measurement must start cold); ``memo`` is the
-      optional exact busy-period memo every device's drain shares;
-    - ``simulate_isolated(addrs, arrive_cycles, flags, request_ids,
-      memo)`` -> per-element completion cycles in input order for a
-      serialized isolation stream: each contiguous run of
-      ``request_ids`` is one segment of
-      :func:`~repro.dram.segments.drain_segments`, looked up in and
-      stored to the :class:`~repro.dram.segments.SegmentMemo`
-      ``memo``; always drained in-process, and exactly equal to
-      ``simulate`` on the same stream;
+      optional exact busy-period memo every device's drain shares
+      (main replays and isolation baselines alike);
     - ``transfer_seconds(trace)`` -> per-request inter-device transfer
       seconds (``{}`` when nothing crosses a device boundary -- one
       device by construction).
@@ -194,32 +183,6 @@ class ShardedDramBackend:
             row_hits=hits,
         )
         return merged, timings
-
-    def simulate_isolated(self, addrs, arrive_cycles, flags, request_ids, memo):
-        """Completion cycles of a serialized isolation stream: each
-        device drains its slice segment by segment (one segment per
-        request run) on its own cold controller.  Devices share
-        ``memo``; its keys carry the controller spec."""
-        spec = ControllerSpec(self.config, window=self.window)
-        if self.n_devices == 1 or len(addrs) == 0:
-            return drain_segments(
-                spec, addrs, arrive_cycles, flags, segment_starts(request_ids), memo
-            )
-        device = self.device_map(addrs, request_ids)
-        complete = np.zeros(len(addrs), dtype=np.int64)
-        for dev in range(self.n_devices):
-            mask = device == dev
-            if not mask.any():
-                continue
-            complete[mask] = drain_segments(
-                spec,
-                addrs[mask],
-                arrive_cycles[mask],
-                flags[mask],
-                segment_starts(request_ids[mask]),
-                memo,
-            )
-        return complete
 
     def transfer_seconds(self, trace) -> dict[int, float]:
         """Per-request activation round-trip seconds across the link.

@@ -31,17 +31,16 @@ ServingConfig` and :class:`~repro.experiments.config.LoopConfig`.
 
 The isolation baseline serializes the trace's requests far enough
 apart that they cannot overlap and drains that stream through the
-backend's ``simulate_isolated``: segment by segment, one segment per
-request, with an exact memo (:mod:`repro.dram.segments`).  Requests
-whose content (addresses, flags, relative arrival offsets) and
-starting open rows already drained -- in an earlier iteration, or at
-an earlier rate point of the same sweep -- are not drained again, and
-the baseline is bit-identical to draining the whole serialized stream
-at once.  The same memo serves the main replays: each device's
-controller skips re-draining busy periods (a burst's requests arriving
-together on an idle channel) it has already drained, exactly
-(:mod:`repro.dram.controller`).  A sweep shares one memo across its
-points; a driver built without one gets its own.
+backend's ``simulate`` like any main replay.  Every request run then
+starts behind an idle jump where every timing horizon has expired, so
+the exact busy-period memo (:mod:`repro.dram.busy_period`) looks it up
+and stores it: runs whose content and starting open rows already
+drained -- in an earlier iteration, or at an earlier rate point of the
+same sweep -- are not drained again.  The main replays share the memo:
+each device's controller skips re-draining busy periods (a burst's
+requests arriving together on an idle channel) it has already
+drained.  A sweep shares one memo across its points; a driver built
+without one gets its own.  Drains on a drain pool bypass the memo.
 
 The DRAM side is a :class:`~repro.cluster.backend.ShardedDramBackend`
 (its docstring states the backend protocol); a driver built without
@@ -68,12 +67,20 @@ import numpy as np
 from repro.core.strategies import Scheme
 from repro.dram.config import DRAMConfig, DRAMOrganization, LPDDR5X_8533
 from repro.dram.controller import ControllerStats
-from repro.dram.segments import SegmentMemo, segment_starts
+from repro.dram.busy_period import SegmentMemo
 from repro.serving.engine import BatchConfig, BatchingEngine, PhaseCostModel
 from repro.serving.simulator import CostModel, ServingResult, ServingSimulator
 from repro.serving.workload import Request
 
 from repro.cosim.replay import ReplayTrace
+
+
+def segment_starts(ids) -> np.ndarray:
+    """Start index of every contiguous run of equal values in ``ids``."""
+    ids = np.asarray(ids)
+    if len(ids) == 0:
+        return np.zeros(0, dtype=np.int64)
+    return np.concatenate(([0], np.flatnonzero(np.diff(ids)) + 1))
 
 
 def small_cosim_dram(n_channels: int = 2) -> DRAMConfig:
@@ -269,7 +276,7 @@ class _BatchingEstimator:
     is recalibrated every iteration: decode-burst traffic and arrival
     offsets depend on the step batch composition, which shifts as the
     surcharges reshape the serving timeline.  Requests whose traffic
-    did not change are served from the driver's isolation memo.
+    did not change are served from the driver's drain memo.
     """
 
     n_surcharges = 2
@@ -373,9 +380,9 @@ class CosimDriver:
     fixed-point knobs and the DRAM scheduler window.  ``backend``
     defaults to a serial one-device
     :class:`~repro.cluster.backend.ShardedDramBackend`.
-    ``drain_memo`` (:class:`~repro.dram.segments.SegmentMemo`) holds
-    the isolation-baseline segments and main-replay busy periods
-    already drained; a sweep shares one across its points, and a
+    ``drain_memo`` (:class:`~repro.dram.busy_period.SegmentMemo`)
+    holds the busy periods of main and isolation drains already
+    drained; a sweep shares one across its points, and a
     driver built without one gets a private memo.
     """
 
@@ -403,8 +410,8 @@ class CosimDriver:
             )
         self.backend = backend
         self._iso_cache: dict[int, int] = {}
-        #: isolation segments and busy periods already drained; exact,
-        #: so it may be shared by every driver of one sweep
+        #: busy periods already drained; exact, so it may be shared by
+        #: every driver of one sweep
         self.drain_memo = SegmentMemo() if drain_memo is None else drain_memo
 
     # -- contention measurement -------------------------------------------
@@ -447,8 +454,8 @@ class CosimDriver:
         system to itself, far enough after the previous run that the
         two can never overlap.  ``offsets`` keeps each run's real
         relative arrival offsets; otherwise its elements arrive
-        together.  Drained by the backend's ``simulate_isolated``
-        through the driver's segment memo."""
+        together.  Drained by the backend's ``simulate`` through the
+        driver's busy-period memo."""
         t = self.planner.config.timing
         # Loose per-access upper bound (full row cycle + read latency
         # + data) so consecutive runs cannot interact; idle-gap
@@ -466,10 +473,10 @@ class CosimDriver:
         gaps = last + lengths * per_access + 64
         bases = np.concatenate(([0], np.cumsum(gaps)[:-1]))
         arrive = np.repeat(bases, lengths) + rel
-        complete = self.backend.simulate_isolated(
-            trace.addrs, arrive, trace.flags, rids, self.drain_memo
+        _, timings = self.backend.simulate(
+            trace.addrs, arrive, trace.flags, rids, memo=self.drain_memo
         )
-        return arrive, complete, starts
+        return arrive, timings.complete_cycles, starts
 
     def _isolated_makespans(self, trace: ReplayTrace) -> dict[int, int]:
         """Makespan of each request's burst when it has the memory

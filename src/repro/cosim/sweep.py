@@ -39,8 +39,8 @@ from typing import Callable, Optional
 
 from repro.analysis.report import format_table
 from repro.core.strategies import Scheme
+from repro.dram.busy_period import SegmentMemo
 from repro.dram.resilience import ResilienceReport
-from repro.dram.segments import SegmentMemo
 from repro.serving.simulator import CostModel
 from repro.serving.workload import RequestGenerator
 from repro.util.atomic_io import atomic_write_json, durable_append
@@ -529,11 +529,10 @@ def run_sweep_grid(
     ``slo_capacity_rps``.  Each point runs the module-level
     ``point_fn(*curve_key, rate, **point_kwargs)``, which returns
     ``(SweepPoint, CosimResult or None)``.  ``point_kwargs`` gains a
-    ``drain_memo``: one :class:`~repro.dram.segments.SegmentMemo` per
+    ``drain_memo``: one :class:`~repro.dram.busy_period.SegmentMemo` per
     call, handed to every point's driver (a pooled point gets its own
-    copy), so one sweep drains each distinct isolation request and
-    each repeated main-replay busy period once while separate sweeps
-    share nothing.
+    copy), so one sweep drains each repeated busy period of its main
+    and isolation drains once while separate sweeps share nothing.
     ``result`` is the document being filled: its header fingerprints
     the checkpoint, and it receives the SLO threshold.  Returns the
     live :class:`CosimResult` of every freshly run point by grid key

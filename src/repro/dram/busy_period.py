@@ -1,11 +1,13 @@
-"""Exact busy-period memo for main (closed-loop replay) drains.
+"""Exact busy-period memo for co-simulation drains.
 
-A main replay drains the same bursts again and again: a cold expert's
-weight stream is the same bytes every time a request activates that
-expert, and the co-simulation replays a whole serving run on every
-fixed-point iteration and at every rate point.  The per-channel drain
-loop (``MemoryController._drain_channel_gen``) therefore consults a
-:class:`~repro.dram.segments.SegmentMemo` at the idle jump it already
+The co-simulation drains the same bursts again and again: a cold
+expert's weight stream is the same bytes every time a request
+activates that expert, a main replay covers a whole serving run on
+every fixed-point iteration and at every rate point, and the isolation
+baseline drains each request's burst on its own, spaced far enough
+behind the previous one that every horizon has expired.  The
+per-channel drain loop (``MemoryController._drain_channel_gen``)
+therefore consults a :class:`SegmentMemo` at the idle jump it already
 takes when the scheduling window is empty and arrivals are still
 outstanding.  The *segment* there is the run of requests, in the
 channel's arrival-ordered queue, that arrive at the next arrival cycle
@@ -15,12 +17,12 @@ Why applying a stored outcome is exact:
 
 - **Horizons.**  A segment is looked up or recorded only if every
   timing horizon of the channel has expired at ``a0``
-  (:func:`horizons_expired`, the list the isolation memo checks too).
-  Every ready cycle the scheduler then computes for the segment is at
-  least ``a0``, so no earlier horizon binds, and its schedule relative
-  to ``a0`` is a function of the controller spec, the segment's
-  content (flat bank, row, column, write bit) and the channel's open
-  rows: the key (:func:`segment_key`).
+  (:func:`horizons_expired`).  Every ready cycle the scheduler then
+  computes for the segment is at least ``a0``, so no earlier horizon
+  binds, and its schedule relative to ``a0`` is a function of the
+  controller spec, the segment's content (flat bank, row, column,
+  write bit) and the channel's open rows: the key
+  (:func:`segment_key`).
 - **Scheduler state that is not a horizon.**  The starvation counter
   is 0 at every idle jump (the retirement that emptied the window
   retired the oldest live request, which resets it); the ACT floor
@@ -64,6 +66,56 @@ import hashlib
 import numpy as np
 
 _INT32_MAX = int(np.iinfo(np.int32).max)
+
+#: Default element budget of a :class:`SegmentMemo`: one element per
+#: request outcome, 8 bytes each (plus a small per-entry header), so
+#: at most about 8 MB when full.
+MEMO_MAX_ELEMENTS = 1 << 20
+
+
+class SegmentMemo:
+    """Drained busy-period outcomes keyed by spec, content and open rows.
+
+    Holds at most ``max_elements`` request outcomes; the oldest entries
+    are evicted first.  Counters: ``hits`` busy periods applied from
+    the memo, ``misses`` eligible ones drained, ``stores`` drained ones
+    stored.
+    """
+
+    def __init__(self, max_elements: int = MEMO_MAX_ELEMENTS) -> None:
+        if max_elements < 0:
+            raise ValueError("max_elements must be non-negative")
+        self.max_elements = int(max_elements)
+        self._entries: dict = {}
+        self._elements = 0
+        self.hits = 0
+        self.misses = 0
+        self.stores = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    @property
+    def elements(self) -> int:
+        """Request outcomes currently held."""
+        return self._elements
+
+    def get(self, key):
+        hit = self._entries.get(key)
+        return None if hit is None else hit[1]
+
+    def put(self, key, entry, size: int) -> bool:
+        """Store ``entry`` (the outcome of ``size`` requests) unless
+        the key is present or it alone exceeds the budget; returns
+        whether it was stored."""
+        if size > self.max_elements or key in self._entries:
+            return False
+        while self._elements + size > self.max_elements:
+            oldest = next(iter(self._entries))
+            self._elements -= self._entries.pop(oldest)[0]
+        self._entries[key] = (size, entry)
+        self._elements += size
+        return True
 
 
 def horizons_expired(
@@ -116,9 +168,9 @@ def lookup(memo, key, a0: int, next_arrival):
     if entry is not None and (
         next_arrival is None or next_arrival >= a0 + int(entry[0])
     ):
-        memo.main_hits += 1
+        memo.hits += 1
         return entry
-    memo.main_misses += 1
+    memo.misses += 1
     return None
 
 
@@ -173,7 +225,7 @@ def store(memo, key, a0, lo, hi, regs, hist, banks, columns, stats, stats0) -> N
     if entry.max() > _INT32_MAX:
         return
     if memo.put(key, entry.astype(np.int32), hi - lo):
-        memo.main_stores += 1
+        memo.stores += 1
 
 
 def apply(entry, a0, lo, hi, regs, hist, banks, outputs, stats) -> tuple:

@@ -53,7 +53,7 @@ Request list into those columns and scatters the per-request outputs
 (decoded coordinates, first-command/completion cycles, row-hit class)
 back onto the objects.
 
-Main drains may take a :class:`~repro.dram.segments.SegmentMemo`
+Drains may take a :class:`~repro.dram.busy_period.SegmentMemo`
 (``simulate_arrays(..., memo=...)``) that skips re-draining repeated
 *busy periods*: when a channel's window empties with arrivals still
 outstanding, the drain jumps to the next arrival ``a0``, and the run
@@ -326,7 +326,7 @@ class MemoryController:
         co-simulation) that map DRAM queueing back onto the individual
         upstream requests that caused it.
 
-        ``memo`` (a :class:`~repro.dram.segments.SegmentMemo`) lets
+        ``memo`` (a :class:`~repro.dram.busy_period.SegmentMemo`) lets
         serial channel drains skip busy periods already drained with
         the same spec, content and open rows (see the module
         docstring); results are identical with or without it.

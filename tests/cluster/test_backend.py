@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from repro.cluster.backend import ShardedDramBackend
-from repro.cosim import ExpertReplayPlanner, small_cosim_dram
+from repro.core.strategies import Scheme
+from repro.cosim import CosimDriver, ExpertReplayPlanner, small_cosim_dram
+from repro.cosim.driver import segment_starts
+from repro.cosim.replay import ReplayTrace
+from repro.dram.busy_period import SegmentMemo
 from repro.dram.controller import MemoryController
-from repro.dram.segments import (
-    ControllerSpec,
-    SegmentMemo,
-    drain_segments,
-    segment_starts,
-)
+from repro.serving.simulator import CostModel
 
 
 EXPERT_BYTES = 1 << 17
@@ -67,30 +66,6 @@ def test_single_device_is_controller_passthrough(trace_arrays):
     assert backend.transfer_seconds(
         FakeTrace(addrs, request_ids)
     ) == {}
-    # Isolation: a serialized stream (one run per request, each run
-    # keeping its relative arrival offsets, runs far apart) drains
-    # segment by segment exactly as drain_segments does directly, and
-    # both equal one cold simulate on the same stream.
-    order = np.argsort(request_ids, kind="stable")
-    ids = request_ids[order]
-    starts = segment_starts(ids)
-    lengths = np.diff(np.append(starts, len(ids)))
-    run = np.repeat(np.arange(len(starts)), lengths)
-    rel = arrive[order] - np.repeat(arrive[order][starts], lengths)
-    serial_arrive = run * 100_000 + rel
-    stream = (addrs[order], serial_arrive, flags[order])
-    iso = backend.simulate_isolated(*stream, ids, SegmentMemo())
-    direct = drain_segments(
-        ControllerSpec(small_cosim_dram(), window=64),
-        *stream,
-        segment_starts(ids),
-        SegmentMemo(),
-    )
-    assert np.array_equal(iso, direct)
-    _, cold = MemoryController(small_cosim_dram(), window=64).simulate_arrays(
-        *stream, detail=True
-    )
-    assert np.array_equal(iso, cold.complete_cycles)
 
 
 def test_multi_device_merges_counters(planner, trace_arrays):
@@ -141,10 +116,55 @@ def test_simulate_with_memo_is_exact(planner, trace_arrays, n_devices):
     memo = SegmentMemo()
     stats, timings = backend.simulate(*stream, ids, memo=memo)
     ref_stats, ref_timings = backend.simulate(*stream, ids)
-    assert memo.main_hits > 0
+    assert memo.hits > 0
     assert stats == ref_stats
     for name in ("first_command_cycles", "complete_cycles", "queue_delays", "row_hits"):
         assert np.array_equal(getattr(timings, name), getattr(ref_timings, name))
+
+
+@pytest.mark.parametrize("n_devices", [1, 2])
+def test_isolation_baselines_equal_a_cold_drain(planner, trace_arrays, n_devices):
+    """The driver's isolation baselines drain the serialized stream
+    through ``simulate`` with its memo: they equal a cold, memo-less
+    drain of that stream, and a second call is served from the memo."""
+    addrs, arrive, flags, request_ids = trace_arrays
+    order = np.argsort(request_ids, kind="stable")
+    trace = ReplayTrace(
+        addrs=addrs[order],
+        arrive_cycles=arrive[order],
+        flags=flags[order],
+        request_ids=request_ids[order],
+        tokens_by_request={},
+    )
+    backend = ShardedDramBackend(
+        small_cosim_dram(), n_devices=n_devices, policy="expert_parallel",
+        planner=planner,
+    )
+    cost = CostModel(encode_seconds_per_token=2e-9, decode_seconds_per_token=2e-8)
+    driver, serializer = (
+        CosimDriver(cost, Scheme.MD_LB, planner, backend=backend) for _ in range(2)
+    )
+
+    def cold(offsets):
+        serial, _, starts = serializer._isolated_completions(trace, offsets)
+        _, timings = backend.simulate(
+            trace.addrs, serial, trace.flags, trace.request_ids
+        )
+        return serial, timings.complete_cycles, starts
+
+    serial, complete, _ = cold(offsets=True)
+    latencies = complete - serial
+    serial, complete, starts = cold(offsets=False)
+    makespans = {
+        int(trace.request_ids[lo]): int(complete[lo:hi].max() - serial[lo])
+        for lo, hi in zip(starts, np.append(starts[1:], len(trace)))
+    }
+    memo = driver.drain_memo
+    for _ in range(2):  # cold, then served from the driver's memo
+        hits = memo.hits
+        assert np.array_equal(driver._isolated_element_latencies(trace), latencies)
+        assert driver._isolated_makespans(trace) == makespans
+    assert memo.hits > hits
 
 
 def test_multi_device_needs_planner_and_request_ids(planner, trace_arrays):

@@ -16,7 +16,7 @@ from repro.cosim import (
     small_cosim_dram,
 )
 from repro.cosim.sweep import _failed_point, run_sweep_grid
-from repro.dram.segments import SegmentMemo
+from repro.dram.busy_period import SegmentMemo
 from repro.experiments import (
     LoopConfig,
     ServingConfig,
@@ -163,8 +163,8 @@ def _recording_memos(monkeypatch):
 
 def test_isolation_memo_is_scoped_to_one_sweep(monkeypatch):
     """Each sweep starts with an empty drain memo: two identical sweeps
-    in one process drain exactly the same isolation segments and main
-    busy periods, so no memo state outlives its sweep."""
+    in one process drain exactly the same busy periods, main and
+    isolation alike, so no memo state outlives its sweep."""
     memos = _recording_memos(monkeypatch)
     config = replace(get_preset("decode_heavy"), n_requests=20, rates=(1e5, 1e6))
     cost, scheme, planner = build_components(config)
@@ -178,15 +178,8 @@ def test_isolation_memo_is_scoped_to_one_sweep(monkeypatch):
     ]
     assert len(memos) == 2
     first, second = memos
-    assert first.hits > 0 and first.misses > 0
-    assert first.main_hits > 0 and first.main_stores > 0
-    counts = [
-        (
-            m.hits, m.misses, m.live, m.interleaved,
-            m.main_hits, m.main_misses, m.main_stores,
-        )
-        for m in memos
-    ]
+    assert first.hits > 0 and first.misses > 0 and first.stores > 0
+    counts = [(m.hits, m.misses, m.stores) for m in memos]
     assert counts[0] == counts[1]
     assert results[0].to_dict() == results[1].to_dict()
 

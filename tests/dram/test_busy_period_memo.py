@@ -23,14 +23,28 @@ from hypothesis import strategies as st
 from repro.cosim.driver import small_cosim_dram
 from repro.dram.address import AddressMapper
 from repro.dram.config import LPDDR5X_8533
-from repro.dram.busy_period import horizons_expired
+from repro.dram.busy_period import SegmentMemo, horizons_expired
 from repro.dram.controller import ControllerSpec, MemoryController, SchedulerPolicy
 from repro.dram.parallel import ChannelState, ParallelDrainExecutor
 from repro.dram.request import FLAG_WRITE
-from repro.dram.segments import SegmentMemo
 from repro.workloads.trace_io import write_trace
 
 _SMALL = small_cosim_dram()
+
+
+def _stretched(**long):
+    """The small geometry with short bank timings and one long channel
+    horizon, so that horizon can be the only live one at an idle jump.
+    With LPDDR5X timing a live tFAW, tRRD or tWTR always comes with a
+    live bank horizon, which would mask a missed check."""
+    short = dict(
+        tRCD=4, tRP=4, tRAS=8, tCL=6, tCWL=4, tWR=4, tCCD_S=1, tCCD_L=1,
+        tRRD=1, tFAW=4, tWTR=1, burst_cycles=1,
+    )
+    timing = dataclasses.replace(_SMALL.timing, **{**short, **long})
+    return dataclasses.replace(_SMALL, timing=timing)
+
+
 CONFIGS = {
     "small": _SMALL,
     "lpddr5x": LPDDR5X_8533,
@@ -42,6 +56,10 @@ CONFIGS = {
             _SMALL.timing, tRCD=4, tRP=4, tRAS=8, tRRD=1, tFAW=120, tWTR=30
         ),
     ),
+    "long-tRRD": _stretched(tRRD=40),
+    "long-tWTR": _stretched(tWTR=60),
+    "long-tCCD": _stretched(tCCD_S=8, tCCD_L=30),
+    "long-data-bus": _stretched(tCL=30, burst_cycles=4),
 }
 
 
@@ -99,20 +117,19 @@ _burst = st.lists(
 def _stream(spec, bursts, picks, gaps):
     """Concatenate ``bursts[picks[i]]``; burst i > 0 arrives after
     burst i - 1 by the gap ``gaps[i - 1]``: a cycle count, or
-    ``"end"`` / ``"end-1"`` for the cycle the stream so far leaves the
-    command bus idle (or one cycle before it)."""
+    ``("end", delta)`` for ``delta`` cycles after the cycle the stream
+    so far leaves the command bus idle."""
     config = spec.config
     addrs, arrive, flags = [], [], []
     a0 = 0
     for i, pick in enumerate(picks):
         if i:
             gap = gaps[i - 1]
-            if isinstance(gap, str):
+            if isinstance(gap, tuple):
                 probe, _, _ = _run(
                     spec, np.array(addrs), np.array(arrive), np.array(flags, np.uint8)
                 )
-                a0 = max(ch._cmd_bus_next for ch in probe.channels)
-                a0 -= gap == "end-1"
+                a0 = max(ch._cmd_bus_next for ch in probe.channels) + gap[1]
             else:
                 a0 += gap
         for ch, bank, row, col, write, sub in bursts[pick]:
@@ -137,7 +154,7 @@ def _stream(spec, bursts, picks, gaps):
     bursts=st.lists(_burst, min_size=1, max_size=3),
     picks=st.lists(st.integers(0, 2), min_size=1, max_size=10),
     gaps=st.lists(
-        st.one_of(st.integers(0, 3000), st.sampled_from(["end", "end-1"])),
+        st.one_of(st.integers(0, 3000), st.sampled_from([("end", 0), ("end", -1)])),
         min_size=9,
         max_size=9,
     ),
@@ -153,6 +170,31 @@ def test_memoized_drain_equals_cold(config, window, policy, cap, bursts, picks, 
     _assert_same(_run(spec, *stream, memo=memo), cold)
     # A second drain reuses everything the first stored.
     _assert_same(_run(spec, *stream, memo=memo), cold)
+
+
+def test_each_horizon_alone_keeps_the_memo_out():
+    """``horizons_expired`` at its boundaries: every horizon exactly
+    expired at ``a0`` passes, and any one of them a cycle later fails.
+    The drain loop always passes ``cb == a0``, and a bank's ACT or
+    column horizon is rarely the only live one at an idle jump, so the
+    drain tests above seldom or never reach those terms."""
+    t = _SMALL.timing
+    a0 = 1000
+    expired = dict(
+        cb=a0,
+        dnext=a0 + min(t.tCL, t.tCWL),
+        lcc=a0 - t.tCCD_L,
+        raw=a0 + t.tCL,
+        lact=a0 - t.tRRD,
+        hist=[a0 - t.tFAW - 3, a0 - t.tFAW],
+        eact=[0, a0],
+        epre=[0, a0],
+        ecol=[0, a0],
+    )
+    assert horizons_expired(t, a0, **expired)
+    for name, value in expired.items():
+        live = [*value[:-1], value[-1] + 1] if isinstance(value, list) else value + 1
+        assert not horizons_expired(t, a0, **{**expired, name: live}), name
 
 
 def _wide(spec, bursts, gap=5000):
@@ -183,8 +225,7 @@ def test_repeated_burst_is_served_from_the_memo():
     # lookup.  FR-FCFS serves the open row first, so each burst leaves
     # every bank on the other of its two rows: bursts 2 and 3 start
     # from new open rows and are stored, bursts 4 and 5 hit them.
-    assert (memo.main_misses, memo.main_stores, memo.main_hits) == (2, 2, 2)
-    assert (memo.hits, memo.misses) == (0, 0)  # isolation counters untouched
+    assert (memo.misses, memo.stores, memo.hits) == (2, 2, 2)
     assert memo.elements == 2 * len(burst)
 
 
@@ -204,7 +245,7 @@ def test_next_arrival_at_the_stored_end(early, hits):
     stream[1][-1] = 3 * gap + end - early
     memo = SegmentMemo()
     _assert_same(_run(spec, *stream, memo=memo), _run(spec, *stream))
-    assert memo.main_hits == hits
+    assert memo.hits == hits
 
 
 def test_burst_behind_a_live_tfaw_window_drains_cold():
@@ -237,7 +278,90 @@ def test_burst_behind_a_live_tfaw_window_drains_cold():
     stream[1][3 * len(burst) :] = a0
     memo = SegmentMemo()
     _assert_same(_run(spec, *stream, memo=memo), _run(spec, *stream))
-    assert (memo.main_misses, memo.main_hits) == (2, 0)
+    assert (memo.misses, memo.hits) == (2, 0)
+
+
+@pytest.mark.parametrize("config", [c for c in CONFIGS if c.startswith("long")])
+def test_burst_repeated_behind_its_own_live_horizon(config):
+    """``[X, X wide, X tight]``: the third X has the second's key (same
+    content, same open rows), but one long channel horizon of the
+    second may still be live at its first arrival.  A missed horizon
+    check turns that into a wrong memo hit."""
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        spec = ControllerSpec(CONFIGS[config], window=int(rng.choice([1, 4, 64])))
+        # One bank per channel, so every row change needs a PRE and an
+        # ACT on the bank the previous X just left.
+        burst = [
+            (
+                int(rng.integers(0, 2)),
+                0,
+                int(rng.integers(0, 6)),
+                int(rng.integers(0, 16)),
+                bool(rng.random() < 0.4),
+                0,
+            )
+            for _ in range(int(rng.integers(1, 12)))
+        ]
+        gaps = [5000, ("end", int(rng.integers(0, 64)))]
+        stream = _stream(spec, [burst], [0, 0, 0], gaps)
+        _assert_same(_run(spec, *stream, memo=SegmentMemo()), _run(spec, *stream))
+
+
+def test_shifted_stream_is_served_from_the_memo_alone():
+    """The same bursts shifted by a constant: every lookup of the
+    second drain hits what the first stored, and its timings are the
+    first drain's shifted."""
+    spec = ControllerSpec(_SMALL)
+    a = _spread_burst(_SMALL) + _spread_burst(_SMALL, channel=1)
+    b = [_address(_SMALL, 0, bank, 5, col) for bank in (1, 3) for col in range(5)]
+    addrs, arrive, flags = _wide(spec, [a, b, a, b, a])
+    arrive += 5000  # the first burst arrives behind an idle jump too
+    memo = SegmentMemo()
+    first = _run(spec, addrs, arrive, flags, memo=memo)
+    _assert_same(first, _run(spec, addrs, arrive, flags))
+    lookups, stores = memo.hits + memo.misses, memo.stores
+    assert memo.hits >= 1
+    hits, misses = memo.hits, memo.misses
+    shifted = _run(spec, addrs, arrive + 12345, flags, memo=memo)
+    assert (memo.hits, memo.misses, memo.stores) == (hits + lookups, misses, stores)
+    assert np.array_equal(
+        shifted[2].complete_cycles, first[2].complete_cycles + 12345
+    )
+    _assert_same(shifted, _run(spec, addrs, arrive + 12345, flags))
+
+
+@pytest.mark.parametrize("variant", ["offsets", "write bits"])
+def test_memo_key_covers_offsets_and_write_bits(variant):
+    """``[A, A, B]`` where B has A's addresses but other arrival offsets
+    or write bits.  A opens one row per bank, so B starts from the open
+    rows the second A started from, and only the content tells their
+    keys apart."""
+    spec = ControllerSpec(_SMALL)
+    burst = [_address(_SMALL, 0, bank, 3, col) for bank in (0, 1) for col in range(6)]
+    addrs, arrive, flags = _wide(spec, [burst] * 3)
+    tail = slice(2 * len(burst), None)
+    if variant == "offsets":
+        arrive[tail] += np.arange(len(burst)) * 9
+    else:
+        flags[tail] = FLAG_WRITE
+    stream = (addrs, arrive, flags)
+    memo = SegmentMemo()
+    _assert_same(_run(spec, *stream, memo=memo), _run(spec, *stream))
+    assert memo.hits == 0 and memo.stores >= 1
+
+
+def test_memo_evicts_oldest_beyond_its_element_cap():
+    spec = ControllerSpec(_SMALL)
+    bursts = [
+        [_address(_SMALL, 0, 0, row, col) for col in range(10)] for row in range(4)
+    ]
+    stream = _wide(spec, bursts)
+    stream[1][:] += 5000
+    memo = SegmentMemo(max_elements=25)
+    _assert_same(_run(spec, *stream, memo=memo), _run(spec, *stream))
+    assert (memo.misses, memo.stores) == (4, 4)
+    assert len(memo) == 2 and memo.elements == 20
 
 
 def test_busy_period_overrun_by_the_next_arrival_is_not_stored():
@@ -270,7 +394,7 @@ def test_busy_period_overrun_by_the_next_arrival_is_not_stored():
         pytest.fail("no arrival of Y competes with X")
     memo = SegmentMemo()
     _assert_same(_run(spec, addrs, arrive, flags, memo=memo), cold)
-    assert (memo.main_misses, memo.main_stores, memo.main_hits) == (2, 1, 1)
+    assert (memo.misses, memo.stores, memo.hits) == (2, 1, 1)
 
 
 def test_one_memo_serves_two_specs_and_devices():
@@ -287,18 +411,18 @@ def test_one_memo_serves_two_specs_and_devices():
     assert not np.array_equal(*firsts)
     for spec, cold in zip(specs, colds):
         _assert_same(_run(spec, *stream, memo=memo), cold)
-    assert memo.main_stores > 0 and memo.main_hits > 0
-    misses, stores = memo.main_misses, memo.main_stores
+    assert memo.stores > 0 and memo.hits > 0
+    misses, stores = memo.misses, memo.stores
     # The second device of each spec is served from the memo alone.
     for spec, cold in zip(specs, colds):
         _assert_same(_run(spec, *stream, memo=memo), cold)
-    assert (memo.main_misses, memo.main_stores) == (misses, stores)
+    assert (memo.misses, memo.stores) == (misses, stores)
 
 
 def _memoized_reference(spec, stream):
     memo = SegmentMemo()
     reference = _run(spec, *stream, memo=memo)
-    assert memo.main_hits > 0
+    assert memo.hits > 0
     return reference
 
 
@@ -308,7 +432,7 @@ def test_record_commands_bypasses_the_memo():
     reference = _memoized_reference(spec, stream)
     memo = SegmentMemo()
     recorded = _run(spec, *stream, memo=memo, recording=True)
-    assert (memo.main_hits, memo.main_misses, memo.main_stores) == (0, 0, 0)
+    assert (memo.hits, memo.misses, memo.stores) == (0, 0, 0)
     _assert_same(recorded, reference)
     # Every command is recorded, exactly as without a memo.
     plain = _run(spec, *stream, recording=True)
@@ -344,5 +468,5 @@ def test_drain_executor_bypasses_the_memo():
             spec.config, window=spec.window, executor=executor
         )
         stats, timings = controller.simulate_arrays(*stream, detail=True, memo=memo)
-    assert (memo.main_hits, memo.main_misses, memo.main_stores) == (0, 0, 0)
+    assert (memo.hits, memo.misses, memo.stores) == (0, 0, 0)
     _assert_same((controller, stats, timings), reference)
