@@ -97,42 +97,36 @@ class MoNDERuntime:
             seed=config.seed,
         )
         self._cache: dict[tuple[Scheme, str], SchemeResult] = {}
+        self._dense_times: dict[tuple[str, int], float] = {}
 
     # -- dense timing ----------------------------------------------------------
 
-    def _dense_ffn_time(self, tokens: int) -> float:
-        model = self.config.model
-        return self.platform.gpu.expert_ffn_time(
-            tokens, model.d_model, model.d_ff, model.dtype_bytes
-        )
-
-    def _encoder_dense_time(self, tokens: int) -> float:
-        """Attention (+ dense FFN where the block is not MoE) for the
-        whole encoder stack."""
-        model = self.config.model
-        total = 0.0
-        for i in range(model.n_encoder_layers):
-            total += self.platform.gpu.dense_block_time(
-                tokens, model.d_model, model.n_heads, model.dtype_bytes
-            )
-            if not model.is_moe_block(i):
-                total += self._dense_ffn_time(tokens)
-        return total
-
-    def _decoder_dense_step_time(self, tokens: int) -> float:
-        """Self-attention + cross-attention (+ dense FFN) for one
-        auto-regressive step over the whole decoder stack."""
-        model = self.config.model
-        total = 0.0
-        for i in range(model.n_decoder_layers):
-            # Self-attention on the new tokens plus cross-attention
-            # against the cached encoder context.
-            total += 2 * self.platform.gpu.dense_block_time(
-                tokens, model.d_model, model.n_heads, model.dtype_bytes
-            )
-            if not model.is_moe_block(i):
-                total += self._dense_ffn_time(tokens)
-        return total
+    def _dense_time(self, part: str, tokens: int) -> float:
+        """GPU time of the dense (non-MoE) work over ``tokens`` tokens:
+        one pass of the encoder stack, or one auto-regressive step of
+        the decoder stack.  Each block runs attention (a decoder block
+        self-attention on the new tokens plus cross-attention against
+        the cached encoder context) and, where it is not MoE, a dense
+        FFN.  Computed once per (part, tokens)."""
+        key = (part, tokens)
+        if key not in self._dense_times:
+            model = self.config.model
+            gpu = self.platform.gpu
+            if part == "encoder":
+                n_layers, attention_blocks = model.n_encoder_layers, 1
+            else:
+                n_layers, attention_blocks = model.n_decoder_layers, 2
+            total = 0.0
+            for i in range(n_layers):
+                total += attention_blocks * gpu.dense_block_time(
+                    tokens, model.d_model, model.n_heads, model.dtype_bytes
+                )
+                if not model.is_moe_block(i):
+                    total += gpu.expert_ffn_time(
+                        tokens, model.d_model, model.d_ff, model.dtype_bytes
+                    )
+            self._dense_times[key] = total
+        return self._dense_times[key]
 
     # -- MoE layer dispatch ------------------------------------------------------
 
@@ -200,7 +194,7 @@ class MoNDERuntime:
         cache = self._new_cache()
         tuner = self._new_tuner(cache) if self.config.auto_tune else None
 
-        dense = self._encoder_dense_time(tokens)
+        dense = self._dense_time("encoder", tokens)
         layers: list[LayerResult] = []
         moe = 0.0
         rank = 0
@@ -226,11 +220,12 @@ class MoNDERuntime:
         cache = self._new_cache()
         tuner = self._new_tuner(cache) if self.config.auto_tune else None
 
+        step_dense = self._dense_time("decoder", step_tokens)
         dense = 0.0
         moe = 0.0
         layers: list[LayerResult] = []
         for step in range(self.config.decode_steps):
-            dense += self._decoder_dense_step_time(step_tokens)
+            dense += step_dense
             rank = 0
             for i in range(model.n_decoder_layers):
                 if not model.is_moe_block(i):

@@ -41,6 +41,9 @@ class GPUModel:
 
     def __init__(self, spec: GPUSpec) -> None:
         self.spec = spec
+        # gemm_time by (m, n, k, dtype_bytes): a model evaluates the
+        # same few shapes thousands of times.
+        self._gemm_times: dict[tuple[int, int, int, int], float] = {}
 
     def _efficiency(self, m: int) -> float:
         """Achievable fraction of peak compute for GEMM height ``m``.
@@ -75,7 +78,11 @@ class GPUModel:
         )
 
     def gemm_time(self, m: int, n: int, k: int, dtype_bytes: int = BF16_BYTES) -> float:
-        return self.gemm_timing(m, n, k, dtype_bytes).total
+        key = (m, n, k, dtype_bytes)
+        seconds = self._gemm_times.get(key)
+        if seconds is None:
+            seconds = self._gemm_times[key] = self.gemm_timing(*key).total
+        return seconds
 
     def expert_ffn_time(
         self,

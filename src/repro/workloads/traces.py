@@ -94,6 +94,8 @@ class RoutingTraceGenerator:
         self._rng = np.random.default_rng(seed)
         # Fixed per-layer popularity: one vector per (part, MoE rank).
         self._popularity: dict[tuple[str, int], np.ndarray] = {}
+        # Decoder draws by (MoE rank, step); callers get copies.
+        self._decoder_counts: dict[tuple[int, int], np.ndarray] = {}
 
     _PART_CODES = {"encoder": 0xE, "decoder": 0xD}
 
@@ -144,13 +146,16 @@ class RoutingTraceGenerator:
     def decoder_step_counts(self, moe_layer_rank: int, step: int) -> np.ndarray:
         """Token counts per expert for one decoder MoE layer at one
         auto-regressive step."""
-        n_layers = max(1, self.model.n_moe_decoder_layers)
-        popularity = self._layer_popularity("decoder", moe_layer_rank, n_layers)
-        events = self.decoder_tokens_per_step * self.model.top_k
-        rng = np.random.default_rng((self.seed, moe_layer_rank, step, 0xD))
-        return sample_expert_counts(
-            self.model.n_experts, events, 0.0, rng, popularity=popularity
-        )
+        key = (moe_layer_rank, step)
+        if key not in self._decoder_counts:
+            n_layers = max(1, self.model.n_moe_decoder_layers)
+            popularity = self._layer_popularity("decoder", moe_layer_rank, n_layers)
+            events = self.decoder_tokens_per_step * self.model.top_k
+            rng = np.random.default_rng((self.seed, moe_layer_rank, step, 0xD))
+            self._decoder_counts[key] = sample_expert_counts(
+                self.model.n_experts, events, 0.0, rng, popularity=popularity
+            )
+        return self._decoder_counts[key].copy()
 
     def decoder_trace(self, n_steps: int) -> list[list[np.ndarray]]:
         """Counts[step][moe_layer_rank] for an ``n_steps`` generation."""

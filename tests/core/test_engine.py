@@ -173,3 +173,19 @@ def test_dense_model_rejected():
 def test_platform_validation():
     with pytest.raises(ValueError):
         Platform(n_monde_devices=0)
+
+
+def test_platforms_share_no_gpu_gemm_memo(monkeypatch):
+    warm, cold = Platform(), Platform()
+    warm.gpu.gemm_time(64, 4096, 1024)
+    computed = []
+    gemm_timing = cold.gpu.gemm_timing
+
+    def counting(*key):
+        computed.append(key)
+        return gemm_timing(*key)
+
+    monkeypatch.setattr(cold.gpu, "gemm_timing", counting)
+    cold.gpu.gemm_time(64, 4096, 1024)
+    cold.gpu.gemm_time(64, 4096, 1024)
+    assert computed == [(64, 4096, 1024, 2)]

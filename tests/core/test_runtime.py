@@ -131,3 +131,23 @@ def test_auto_tune_off_uses_fixed_alpha():
     rt = MoNDERuntime(cfg)
     r = rt.encoder_result(Scheme.MD_LB)
     assert r.alpha_used == 1.5
+
+
+def test_dense_time_computed_once_per_token_count(monkeypatch):
+    sc = xsum_like(batch=1)
+    cfg = InferenceConfig(model=sc.model, batch=1, decode_steps=4, profile=sc.profile)
+    rt = MoNDERuntime(cfg)
+    calls = []
+    dense_block_time = rt.platform.gpu.dense_block_time
+
+    def counting(tokens, *args):
+        calls.append(tokens)
+        return dense_block_time(tokens, *args)
+
+    monkeypatch.setattr(rt.platform.gpu, "dense_block_time", counting)
+    for scheme in (Scheme.GPU_PM, Scheme.MD_LB, Scheme.IDEAL):
+        rt.encoder_result(scheme)
+        rt.decoder_result(scheme)
+    model = cfg.model
+    assert sorted(set(calls)) == [1, 512]
+    assert len(calls) == model.n_encoder_layers + model.n_decoder_layers

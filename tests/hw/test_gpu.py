@@ -1,6 +1,11 @@
 """GPU roofline model: the Fig. 2(c) compute side."""
 
+from dataclasses import replace
+from itertools import permutations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hw.gpu import GPUModel
 from repro.hw.specs import A100_PCIE, GPUSpec
@@ -82,3 +87,29 @@ def test_efficiency_saturates_at_m_saturate():
     beyond = gpu.gemm_timing(640, 512, 512).achieved_flops
     assert sat == pytest.approx(beyond)
     assert sat == pytest.approx(spec.peak_flops * spec.base_efficiency)
+
+
+dims = st.one_of(st.just(0), st.integers(1, 8192))
+
+
+@settings(max_examples=60)
+@given(m=dims, n=dims, k=dims)
+def test_memoized_gemm_time_equals_timing_total(m, n, k):
+    """gemm_time is memoized per model by (m, n, k, dtype_bytes): every
+    permutation of the shape at every dtype, first as a miss and then
+    as a hit, equals the unmemoized roofline exactly."""
+    gpu = GPUModel(A100_PCIE)
+    reference = GPUModel(A100_PCIE)
+    keys = [(*shape, dtype) for shape in permutations((m, n, k)) for dtype in (1, 2, 4)]
+    for _ in range(2):
+        for key in keys:
+            assert gpu.gemm_time(*key) == reference.gemm_timing(*key).total, key
+
+
+def test_models_share_no_gemm_memo():
+    shape = (1, 4096, 1024)
+    fast = GPUModel(A100_PCIE)
+    slow = GPUModel(replace(A100_PCIE, mem_bandwidth=A100_PCIE.mem_bandwidth / 2))
+    t_fast = fast.gemm_time(*shape)
+    assert slow.gemm_time(*shape) == slow.gemm_timing(*shape).total > t_fast
+    assert fast.gemm_time(*shape) == t_fast

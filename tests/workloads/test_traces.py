@@ -55,6 +55,32 @@ def test_decoder_step_counts_deterministic(gen):
     np.testing.assert_array_equal(a, b)
 
 
+DRAWS = {
+    "decoder": lambda g: g.decoder_step_counts(1, step=5),
+}
+
+
+def _fresh_gen():
+    return RoutingTraceGenerator(nllb_moe_128(), batch=4, seq_len=512, seed=7)
+
+
+@pytest.mark.parametrize("part", sorted(DRAWS))
+def test_repeated_draw_equals_fresh_generator(gen, part):
+    draw = DRAWS[part]
+    first, again = draw(gen), draw(gen)
+    np.testing.assert_array_equal(again, draw(_fresh_gen()))
+    np.testing.assert_array_equal(first, again)
+
+
+@pytest.mark.parametrize("part", sorted(DRAWS))
+def test_mutating_returned_counts_leaves_later_draws(part):
+    draw, g = DRAWS[part], _fresh_gen()
+    counts = draw(g)
+    expected = counts.copy()
+    counts += 1
+    np.testing.assert_array_equal(draw(g), expected)
+
+
 def test_decoder_popularity_persistent_across_steps(gen):
     """The hot expert of a decoder layer recurs across steps -- the
     property that makes the GPU expert buffer effective."""
