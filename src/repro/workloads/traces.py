@@ -91,11 +91,10 @@ class RoutingTraceGenerator:
         self.seq_len = seq_len
         self.profile = profile or RoutingProfile()
         self.seed = seed
-        self._rng = np.random.default_rng(seed)
         # Fixed per-layer popularity: one vector per (part, MoE rank).
         self._popularity: dict[tuple[str, int], np.ndarray] = {}
-        # Decoder draws by (MoE rank, step); callers get copies.
-        self._decoder_counts: dict[tuple[int, int], np.ndarray] = {}
+        # Routing draws by (part, MoE rank, step); callers get copies.
+        self._draws: dict[tuple[str, int, int], np.ndarray] = {}
 
     _PART_CODES = {"encoder": 0xE, "decoder": 0xD}
 
@@ -114,6 +113,29 @@ class RoutingTraceGenerator:
             )
         return self._popularity[key]
 
+    def _layer_counts(self, part: str, rank: int, step: int) -> np.ndarray:
+        """Token counts per expert for one MoE layer pass.  Each pass
+        draws from its own seed tuple, so its counts do not depend on
+        which passes were drawn before it; the draw is kept."""
+        key = (part, rank, step)
+        if key not in self._draws:
+            if part == "encoder":
+                n_layers = self.model.n_moe_encoder_layers
+                tokens = self.encoder_tokens
+            else:
+                n_layers = self.model.n_moe_decoder_layers
+                tokens = self.decoder_tokens_per_step
+            popularity = self._layer_popularity(part, rank, max(1, n_layers))
+            rng = np.random.default_rng((self.seed, rank, step, self._PART_CODES[part]))
+            self._draws[key] = sample_expert_counts(
+                self.model.n_experts,
+                tokens * self.model.top_k,
+                0.0,
+                rng,
+                popularity=popularity,
+            )
+        return self._draws[key].copy()
+
     # -- encoder -------------------------------------------------------------
 
     @property
@@ -122,12 +144,7 @@ class RoutingTraceGenerator:
 
     def encoder_layer_counts(self, moe_layer_rank: int) -> np.ndarray:
         """Token counts per expert for one encoder MoE layer pass."""
-        n_layers = max(1, self.model.n_moe_encoder_layers)
-        popularity = self._layer_popularity("encoder", moe_layer_rank, n_layers)
-        events = self.encoder_tokens * self.model.top_k
-        return sample_expert_counts(
-            self.model.n_experts, events, 0.0, self._rng, popularity=popularity
-        )
+        return self._layer_counts("encoder", moe_layer_rank, 0)
 
     def encoder_trace(self) -> list[np.ndarray]:
         """Counts for every encoder MoE layer, shallow to deep."""
@@ -146,16 +163,7 @@ class RoutingTraceGenerator:
     def decoder_step_counts(self, moe_layer_rank: int, step: int) -> np.ndarray:
         """Token counts per expert for one decoder MoE layer at one
         auto-regressive step."""
-        key = (moe_layer_rank, step)
-        if key not in self._decoder_counts:
-            n_layers = max(1, self.model.n_moe_decoder_layers)
-            popularity = self._layer_popularity("decoder", moe_layer_rank, n_layers)
-            events = self.decoder_tokens_per_step * self.model.top_k
-            rng = np.random.default_rng((self.seed, moe_layer_rank, step, 0xD))
-            self._decoder_counts[key] = sample_expert_counts(
-                self.model.n_experts, events, 0.0, rng, popularity=popularity
-            )
-        return self._decoder_counts[key].copy()
+        return self._layer_counts("decoder", moe_layer_rank, step)
 
     def decoder_trace(self, n_steps: int) -> list[list[np.ndarray]]:
         """Counts[step][moe_layer_rank] for an ``n_steps`` generation."""

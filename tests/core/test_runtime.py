@@ -133,6 +133,24 @@ def test_auto_tune_off_uses_fixed_alpha():
     assert r.alpha_used == 1.5
 
 
+@pytest.mark.parametrize("make", [flores_like, xsum_like])
+def test_results_independent_of_scheme_order(make):
+    """Each (scheme, part) result depends only on the configuration,
+    not on which schemes a runtime evaluated before it."""
+    sc = make(batch=1)
+    cfg = InferenceConfig(model=sc.model, batch=1, decode_steps=4, profile=sc.profile)
+    forward, backward = MoNDERuntime(cfg), MoNDERuntime(cfg)
+    seconds = {}
+    for scheme in Scheme:
+        for part in ("encoder", "decoder"):
+            seconds[scheme, part] = forward.result(scheme, part).seconds
+    for scheme in reversed(Scheme):
+        for part in ("decoder", "encoder"):
+            assert backward.result(scheme, part).seconds == seconds[scheme, part], (
+                scheme, part,
+            )
+
+
 def test_dense_time_computed_once_per_token_count(monkeypatch):
     sc = xsum_like(batch=1)
     cfg = InferenceConfig(model=sc.model, batch=1, decode_steps=4, profile=sc.profile)

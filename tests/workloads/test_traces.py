@@ -56,6 +56,7 @@ def test_decoder_step_counts_deterministic(gen):
 
 
 DRAWS = {
+    "encoder": lambda g: g.encoder_layer_counts(1),
     "decoder": lambda g: g.decoder_step_counts(1, step=5),
 }
 
@@ -70,6 +71,16 @@ def test_repeated_draw_equals_fresh_generator(gen, part):
     first, again = draw(gen), draw(gen)
     np.testing.assert_array_equal(again, draw(_fresh_gen()))
     np.testing.assert_array_equal(first, again)
+
+
+def test_encoder_draw_independent_of_draw_order():
+    """A layer's encoder counts come from its own seed, not from a
+    stream shared with the layers drawn before it."""
+    shuffled = _fresh_gen()
+    later = [shuffled.encoder_layer_counts(rank) for rank in (3, 0, 2, 1)]
+    in_order = _fresh_gen().encoder_trace()
+    for rank, counts in zip((3, 0, 2, 1), later):
+        np.testing.assert_array_equal(counts, in_order[rank])
 
 
 @pytest.mark.parametrize("part", sorted(DRAWS))
