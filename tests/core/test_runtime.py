@@ -146,9 +146,8 @@ def test_results_independent_of_scheme_order(make):
             seconds[scheme, part] = forward.result(scheme, part).seconds
     for scheme in reversed(Scheme):
         for part in ("decoder", "encoder"):
-            assert backward.result(scheme, part).seconds == seconds[scheme, part], (
-                scheme, part,
-            )
+            got = backward.result(scheme, part).seconds
+            assert got == seconds[scheme, part], (scheme, part)
 
 
 def test_dense_time_computed_once_per_token_count(monkeypatch):
