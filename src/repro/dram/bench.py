@@ -32,7 +32,8 @@ object-layer overhead the array-native front door removes;
 ``parallel_speedup`` is parallel req/s over arrays req/s.  Every
 same-length pair is also checked for bit-identical stats
 (``parallel_identical`` / ``streaming_identical`` alongside the
-existing checks; ``repro bench`` exits nonzero on any mismatch).
+existing checks; a capped reference is checked against an indexed
+drain of its prefix; ``repro bench`` exits nonzero on any mismatch).
 
 The committed baseline lives at ``benchmarks/perf/BENCH_controller.json``;
 see ``benchmarks/perf/README.md`` for how to read and refresh it, and
@@ -268,7 +269,13 @@ def _bench_entry(
             else float("inf")
         )
         if len(ref_addrs) == n_requests:
-            entry["stats_identical"] = asdict(objects_stats) == asdict(reference_stats)
+            indexed_stats = objects_stats
+        else:
+            # Capped reference: check it against an untimed indexed
+            # drain of the same prefix, so the identity check still runs.
+            controller = MemoryController(config, **controller_kwargs)
+            indexed_stats = controller.simulate_arrays(ref_addrs, ref_arrive, ref_flags)
+        entry["stats_identical"] = asdict(indexed_stats) == asdict(reference_stats)
     return entry
 
 
@@ -286,14 +293,16 @@ def bench_controller(
 ) -> dict:
     """Bench every pattern; returns the JSON-ready payload.
 
-    ``reference_requests`` caps the reference runs (its drain loop is
-    O(n^2), so full-length runs can take minutes); when capped, the
-    recorded speedup is *conservative* -- the reference throughput is
-    measured at the shorter, faster-for-it length.  When lengths
-    match, the implementations' ControllerStats are also checked for
-    bit-identity and the result recorded per pattern
-    (``stats_identical``; ``array_path_identical`` covers arrays vs
-    objects and is always recorded).
+    ``reference_requests`` caps the reference runs at a prefix of the
+    trace (its drain loop is O(n^2), so full-length runs can take
+    minutes); when capped, the recorded speedup is *conservative* --
+    the reference throughput is measured at the shorter, faster-for-it
+    length.  The reference's ControllerStats are checked for
+    bit-identity against the indexed scheduler on the same requests
+    (the full run, or an extra untimed indexed drain of the capped
+    prefix) and the result recorded per pattern (``stats_identical``;
+    ``array_path_identical`` covers arrays vs objects and is always
+    recorded).
 
     ``arrival`` selects an open-loop arrival process
     (:data:`repro.workloads.traces.ARRIVAL_PROCESSES`) stamped onto the
@@ -314,11 +323,7 @@ def bench_controller(
         )
         ref_columns = None
         if include_reference:
-            ref_columns = (
-                columns
-                if ref_n == n_requests
-                else _make_columns(pattern, ref_n, config, seed, arrival, arrival_gap)
-            )
+            ref_columns = tuple(c[:ref_n] for c in columns)
         results[pattern] = _bench_entry(
             pattern, config, columns, None, ref_columns,
             include_reference, controller_kwargs, workers=workers,
@@ -468,8 +473,11 @@ def format_bench(payload: dict) -> str:
 
 def all_identity_checks_pass(payload: dict) -> bool:
     """True iff every recorded bit-identity check in a payload holds
-    (used by the CLI to turn a silent mismatch into a failing exit)."""
+    (used by the CLI to turn a silent mismatch into a failing exit).
+    A reference run without its ``stats_identical`` check fails too."""
     for entry in payload["patterns"].values():
+        if "reference" in entry and "stats_identical" not in entry:
+            return False
         for key in (
             "array_path_identical",
             "stats_identical",

@@ -26,8 +26,15 @@ original windowed-list form it is kept bit-identical to):
   (oldest row hit, else oldest) is always a deque head -- no per-issue
   window rebuild, no ``list.remove``;
 - each bank's candidate command is cached and only recomputed when
-  that bank's queue or row state changes (at most two banks per
-  issued command);
+  an event can change it: a PRE or ACT to the bank, the retirement of
+  the last queued hit to its open row, or the admission of a request
+  into a bank with no candidate or into a bank waiting to precharge
+  the row the newcomer hits.  Any other column retirement advances the
+  candidate to the row's next hit in place, and any other admission
+  leaves it alone (an issued command dirties at most its own bank);
+- ACT and PRE candidates live in lazily invalidated heaps; while none
+  is filed, the arbitration is a scan over the column candidates
+  alone;
 - channel/bank timing state is mirrored into local integers for the
   duration of a drain, so the issue arbitration is a tight loop over
   at most ``n_banks`` cached candidates with no attribute access or
@@ -766,6 +773,35 @@ class MemoryController:
         bus, tRRD/tFAW, tWTR) are folded in as per-class floors
         computed once per iteration.
 
+        A bank's cached candidate is refreshed only when its command
+        or representative can change; three rules skip the rest, each
+        exact:
+
+        - *Admission* updates the bank's indexes and marks the bank
+          dirty only if it had no candidate, or if its candidate is a
+          PRE and the newcomer hits the open row.  The newcomer is the
+          youngest request, so it cannot displace an ACT
+          representative (the oldest request) or a COL one (the
+          oldest hit).
+        - *Column retirement* with hits still queued for the row sets
+          the candidate's request to the row's next hit, with no
+          refresh and no version bump: the command stays COL, the
+          bank-ready cycle (``b_ecol``) is unchanged by a column
+          command, and no heap entry carries the bank's current
+          version.
+        - *Empty heaps*: with no entry in ``act_L``, ``act_H``,
+          ``pre_L`` or ``pre_H`` there is no ACT/PRE candidate, so
+          heap compaction, the ACT floor, migration and heap-top
+          selection are skipped.  ``g_act_est`` then lags the floor
+          but stays a lower bound of it (the floor is monotone), so
+          entries filed high against it migrate before the next
+          selection.
+
+        Broken bookkeeping raises instead of spinning: the FR-FCFS
+        arbitration raises when it finds no candidate with requests in
+        the window, and a column command for a request that already
+        retired (a stale candidate) raises at retirement.
+
         Open-loop arrivals: a request enters the scheduling window
         only once channel time (the command-bus cycle ``cb``) has
         reached its ``arrive_cycle``.  When the window empties with
@@ -781,12 +817,12 @@ class MemoryController:
         and the <= ``window`` live requests are renumbered, so resident
         state is one fed chunk plus the scheduler window regardless of
         trace length.  Renumbering preserves relative request order
-        (the only thing arbitration ties break on), and candidate
-        caches are rebuilt through the same dirty-refresh pass that
-        maintains them incrementally, so the command stream is
-        bit-identical to the single-feed run.  ``delays_out``/``gidx``
-        may be omitted only for single-feed (eof) use, where outputs
-        stay in the caller's ``o_*`` lists.
+        (the only thing arbitration ties break on), and the window
+        indexes and candidate caches are rebuilt by re-admitting the
+        live requests through the ordinary admission path, so the
+        command stream is bit-identical to the single-feed run.
+        ``delays_out``/``gidx`` may be omitted only for single-feed
+        (eof) use, where outputs stay in the caller's ``o_*`` lists.
 
         ``memo``/``content`` (see :meth:`_drain_channel`) are for
         single-feed use only: the memo indexes ``content`` by request
@@ -888,22 +924,6 @@ class MemoryController:
         g_act_est = -(10**9)  # lower bound of the ACT floor (monotone)
         heap_cap = 128 + 4 * n_banks
 
-        def insert(s: int) -> None:
-            b = bf[s]
-            q = bank_q[b]
-            if q is None:
-                bank_q[b] = deque((s,))
-                bank_rows[b] = {row[s]: deque((s,))}
-            else:
-                q.append(s)
-                rows = bank_rows[b]
-                rd = rows.get(row[s])
-                if rd is None:
-                    rows[row[s]] = deque((s,))
-                else:
-                    rd.append(s)
-            active.add(b)
-
         window_cap = self.window
         dirty: list[int] = []
 
@@ -918,9 +938,31 @@ class MemoryController:
         while True:
             # Admit arrived requests into the scheduling window (the
             # queue order is arrival order, so admission is a cursor).
+            # The newcomer is the youngest request, so it can only
+            # change its bank's candidate if the bank had none or if
+            # it hits the open row of a bank waiting to precharge.
             while pos < n and in_window < window_cap and arr[pos] <= cb:
-                insert(pos)
-                dirty.append(bf[pos])
+                b = bf[pos]
+                r = row[pos]
+                q = bank_q[b]
+                if q is None:
+                    bank_q[b] = deque((pos,))
+                    bank_rows[b] = {r: deque((pos,))}
+                    active.add(b)
+                    dirty.append(b)
+                else:
+                    q.append(pos)
+                    rows = bank_rows[b]
+                    rd = rows.get(r)
+                    if rd is None:
+                        rows[r] = deque((pos,))
+                    else:
+                        rd.append(pos)
+                    if b not in active:
+                        active.add(b)
+                        dirty.append(b)
+                    elif cand_cmd[b] == _PRE and b_open[b] == r:
+                        dirty.append(b)
                 pos += 1
                 in_window += 1
             if not eof and pos == n and in_window < window_cap:
@@ -944,25 +986,26 @@ class MemoryController:
                     o_hit = [o_hit[s] for s in live]
                     if gidx is not None:
                         gidx = [gidx[s] for s in live]
-                    n = pos = remaining = in_window = len(live)
+                    n = remaining = len(live)
                     head = 0
                     alive = [True] * n
-                    # Rebuild the window indexes over the renumbered
-                    # seqs (ascending, so relative order -- the only
-                    # arbitration tie-breaker -- is preserved) and
-                    # leave candidate recomputation to the standard
-                    # dirty-refresh pass.
+                    # Empty the window and rewind the admission cursor:
+                    # the live requests all arrived by ``cb`` and fit
+                    # the window, so the next admission pass re-admits
+                    # them in ascending renumbered order (relative
+                    # order -- the only arbitration tie-breaker -- is
+                    # preserved), before any newly fed request, and
+                    # marks their banks dirty for the candidate refresh.
+                    pos = in_window = 0
                     bank_q = [None] * n_banks
                     bank_rows = [None] * n_banks
                     active = set()
-                    for s in range(n):
-                        insert(s)
                     act_L = []
                     act_H = []
                     pre_L = []
                     pre_H = []
                     col_set.clear()
-                    dirty = list(active)
+                    del dirty[:]
                 fed = yield True
                 if fed is None:
                     eof = True
@@ -1073,33 +1116,37 @@ class MemoryController:
                             heappush(pre_H, (p, s, b, bank_ver[b]))
             del dirty[:]
 
-            # Compact lazily-invalidated heaps before they bloat.
-            if len(act_L) + len(act_H) > heap_cap:
-                act_L = [
-                    (cand_seq[b2], b2, bank_ver[b2])
-                    for b2 in active
-                    if cand_cmd[b2] == _ACT and cand_part[b2] <= g_act_est
-                ]
-                act_H = [
-                    (cand_part[b2], cand_seq[b2], b2, bank_ver[b2])
-                    for b2 in active
-                    if cand_cmd[b2] == _ACT and cand_part[b2] > g_act_est
-                ]
-                heapify_(act_L)
-                heapify_(act_H)
-            if len(pre_L) + len(pre_H) > heap_cap:
-                pre_L = [
-                    (cand_seq[b2], b2, bank_ver[b2])
-                    for b2 in active
-                    if cand_cmd[b2] == _PRE and cand_part[b2] <= cb
-                ]
-                pre_H = [
-                    (cand_part[b2], cand_seq[b2], b2, bank_ver[b2])
-                    for b2 in active
-                    if cand_cmd[b2] == _PRE and cand_part[b2] > cb
-                ]
-                heapify_(pre_L)
-                heapify_(pre_H)
+            # With no ACT/PRE entry filed there is nothing to compact,
+            # migrate or select among; column candidates decide alone.
+            heaps = act_L or act_H or pre_L or pre_H
+            if heaps:
+                # Compact lazily-invalidated heaps before they bloat.
+                if len(act_L) + len(act_H) > heap_cap:
+                    act_L = [
+                        (cand_seq[b2], b2, bank_ver[b2])
+                        for b2 in active
+                        if cand_cmd[b2] == _ACT and cand_part[b2] <= g_act_est
+                    ]
+                    act_H = [
+                        (cand_part[b2], cand_seq[b2], b2, bank_ver[b2])
+                        for b2 in active
+                        if cand_cmd[b2] == _ACT and cand_part[b2] > g_act_est
+                    ]
+                    heapify_(act_L)
+                    heapify_(act_H)
+                if len(pre_L) + len(pre_H) > heap_cap:
+                    pre_L = [
+                        (cand_seq[b2], b2, bank_ver[b2])
+                        for b2 in active
+                        if cand_cmd[b2] == _PRE and cand_part[b2] <= cb
+                    ]
+                    pre_H = [
+                        (cand_part[b2], cand_seq[b2], b2, bank_ver[b2])
+                        for b2 in active
+                        if cand_cmd[b2] == _PRE and cand_part[b2] > cb
+                    ]
+                    heapify_(pre_L)
+                    heapify_(pre_H)
 
             if fcfs or head_skips >= cap:
                 # Narrowed window: schedule the head request alone.
@@ -1130,75 +1177,76 @@ class MemoryController:
                     cmd = _PRE
                     cycle = max(b_epre[b], cb)
             else:
-                # ACT-class ready floor (monotone; see structures above).
-                g_act = lact + tRRD
-                if cb > g_act:
-                    g_act = cb
-                if len(hist) == hist_full:
-                    x = hist[0] + tFAW
-                    if x > g_act:
-                        g_act = x
-                g_act_est = g_act
-
-                # Migrate entries that dropped to/below their floor.
-                while act_H and act_H[0][0] <= g_act:
-                    _, s, b2, v = heappop(act_H)
-                    if bank_ver[b2] == v:
-                        heappush(act_L, (s, b2, v))
-                while pre_H and pre_H[0][0] <= cb:
-                    _, s, b2, v = heappop(pre_H)
-                    if bank_ver[b2] == v:
-                        heappush(pre_L, (s, b2, v))
-
-                # ACT winner: everything in L is ready at the floor, so
-                # the oldest wins; otherwise the smallest bank-ready.
                 best_ready = -1
                 best_seq = 0
                 b = -1
                 cmd = _ACT
-                while act_L and bank_ver[act_L[0][1]] != act_L[0][2]:
-                    heappop(act_L)
-                if act_L:
-                    top = act_L[0]
-                    best_ready = g_act
-                    best_seq = top[0]
-                    b = top[1]
-                else:
-                    while act_H and bank_ver[act_H[0][2]] != act_H[0][3]:
-                        heappop(act_H)
-                    if act_H:
-                        top = act_H[0]
-                        best_ready = top[0]
-                        best_seq = top[1]
-                        b = top[2]
+                if heaps:
+                    # ACT-class ready floor (monotone; see structures above).
+                    g_act = lact + tRRD
+                    if cb > g_act:
+                        g_act = cb
+                    if len(hist) == hist_full:
+                        x = hist[0] + tFAW
+                        if x > g_act:
+                            g_act = x
+                    g_act_est = g_act
 
-                # PRE winner (same class shape; floor is the command bus).
-                while pre_L and bank_ver[pre_L[0][1]] != pre_L[0][2]:
-                    heappop(pre_L)
-                if pre_L:
-                    top = pre_L[0]
-                    p = cb
-                    s = top[0]
-                    b2 = top[1]
-                else:
-                    while pre_H and bank_ver[pre_H[0][2]] != pre_H[0][3]:
-                        heappop(pre_H)
-                    if pre_H:
-                        top = pre_H[0]
-                        p = top[0]
-                        s = top[1]
-                        b2 = top[2]
+                    # Migrate entries that dropped to/below their floor.
+                    while act_H and act_H[0][0] <= g_act:
+                        _, s, b2, v = heappop(act_H)
+                        if bank_ver[b2] == v:
+                            heappush(act_L, (s, b2, v))
+                    while pre_H and pre_H[0][0] <= cb:
+                        _, s, b2, v = heappop(pre_H)
+                        if bank_ver[b2] == v:
+                            heappush(pre_L, (s, b2, v))
+
+                    # ACT winner: everything in L is ready at the floor, so
+                    # the oldest wins; otherwise the smallest bank-ready.
+                    while act_L and bank_ver[act_L[0][1]] != act_L[0][2]:
+                        heappop(act_L)
+                    if act_L:
+                        top = act_L[0]
+                        best_ready = g_act
+                        best_seq = top[0]
+                        b = top[1]
                     else:
-                        p = -1
-                if p >= 0 and (
-                    best_ready < 0
-                    or p < best_ready
-                    or (p == best_ready and s < best_seq)
-                ):
-                    best_ready = p
-                    best_seq = s
-                    b = b2
-                    cmd = _PRE
+                        while act_H and bank_ver[act_H[0][2]] != act_H[0][3]:
+                            heappop(act_H)
+                        if act_H:
+                            top = act_H[0]
+                            best_ready = top[0]
+                            best_seq = top[1]
+                            b = top[2]
+
+                    # PRE winner (same class shape; floor is the command bus).
+                    while pre_L and bank_ver[pre_L[0][1]] != pre_L[0][2]:
+                        heappop(pre_L)
+                    if pre_L:
+                        top = pre_L[0]
+                        p = cb
+                        s = top[0]
+                        b2 = top[1]
+                    else:
+                        while pre_H and bank_ver[pre_H[0][2]] != pre_H[0][3]:
+                            heappop(pre_H)
+                        if pre_H:
+                            top = pre_H[0]
+                            p = top[0]
+                            s = top[1]
+                            b2 = top[2]
+                        else:
+                            p = -1
+                    if p >= 0 and (
+                        best_ready < 0
+                        or p < best_ready
+                        or (p == best_ready and s < best_seq)
+                    ):
+                        best_ready = p
+                        best_seq = s
+                        b = b2
+                        cmd = _PRE
 
                 # Column candidates: scanned directly (usually few);
                 # they lose ready-cycle ties to ACT/PRE by design.
@@ -1233,6 +1281,14 @@ class MemoryController:
                             best_seq = s
                             b = b2
                             cmd = _COL
+                if b < 0:
+                    # Every bank in the window has a candidate filed in
+                    # a heap or the column set; none means the
+                    # bookkeeping broke, and looping on would spin.
+                    raise RuntimeError(
+                        f"channel {channel.index}: no command candidate at "
+                        f"cycle {cb} with {in_window} request(s) in the window"
+                    )
                 s = best_seq
                 cycle = best_ready
 
@@ -1317,7 +1373,14 @@ class MemoryController:
                             column=col[s],
                         )
                     )
-                # Retire the request and slide the window forward.
+                # Retire the request and slide the window forward.  A
+                # stale candidate would re-issue a retired request and
+                # keep the drain busy forever; fail instead.
+                if not alive[s]:
+                    raise RuntimeError(
+                        f"channel {channel.index}: column command at cycle "
+                        f"{cycle} for request {s}, which already retired"
+                    )
                 while not alive[head]:
                     head += 1
                 was_head = s == head
@@ -1326,9 +1389,13 @@ class MemoryController:
                 rows = bank_rows[b]
                 rd = rows[row[s]]
                 rd.popleft()
-                if not rd:
+                if rd:
+                    # Same open row, next-oldest hit: still a column
+                    # candidate with the same bank-ready cycle.
+                    cand_seq[b] = rd[0]
+                else:
                     del rows[row[s]]
-                dirty.append(b)
+                    dirty.append(b)
                 in_window -= 1
                 if remaining and not was_head:
                     head_skips += 1

@@ -81,12 +81,20 @@ def make_trace(config, n, seed, arrival="poisson", mean_gap=12.0, write_fraction
 
 
 def assert_equivalent(config, trace_kwargs, ctrl_kwargs):
+    return assert_requests_equivalent(
+        config, lambda: make_trace(config, **trace_kwargs), ctrl_kwargs
+    )
+
+
+def assert_requests_equivalent(config, build, ctrl_kwargs):
+    """Indexed vs reference on the request list ``build()`` returns
+    (called once per scheduler, so each gets fresh objects)."""
     fast = MemoryController(config, **ctrl_kwargs)
     ref = ReferenceMemoryController(config, **ctrl_kwargs)
     for c in fast.channels + ref.channels:
         c.record_commands = True
-    fast_reqs = make_trace(config, **trace_kwargs)
-    ref_reqs = make_trace(config, **trace_kwargs)
+    fast_reqs = build()
+    ref_reqs = build()
 
     fast_stats = fast.simulate(fast_reqs)
     ref_stats = ref.simulate(ref_reqs)
@@ -130,6 +138,95 @@ def test_arrival_equivalence_starvation_cap(cap):
         SMALL_CONFIG,
         dict(n=250, seed=29, arrival="bursty", write_fraction=0.5),
         dict(window=16, starvation_cap=cap),
+    )
+
+
+def requests_at(config, spec):
+    """Requests from ``(bankgroup, bank, row, column, arrive, write)``
+    tuples, all on channel 0 rank 0 of ``config``."""
+    mapper = MemoryController(config).mapper
+    return [
+        Request(
+            addr=mapper.encode(0, 0, bg, ba, row, co),
+            kind=RequestKind.WRITE if w else RequestKind.READ,
+            arrive_cycle=a,
+        )
+        for bg, ba, row, co, a, w in spec
+    ]
+
+
+def streak_spec(seed, waves=6, gap=30):
+    """Waves of same-row streaks over all four banks of a channel, the
+    streaks interleaved so column commands alternate bank groups.  A
+    wave's rows often differ from the previous wave's, so once the
+    streaks drain the ACT/PRE candidates refill; while they run every
+    bank holds a column candidate and the ACT/PRE heaps sit empty."""
+    rng = np.random.default_rng(seed)
+    spec = []
+    for w in range(waves):
+        base = w * gap + int(rng.integers(0, gap // 2))
+        streaks = [
+            [(bg, ba, int(rng.integers(0, 3)))] * int(rng.integers(2, 7))
+            for bg in (0, 1)
+            for ba in (0, 1)
+        ]
+        k = 0
+        while any(streaks):
+            for streak in streaks:
+                if streak:
+                    bg, ba, r = streak.pop()
+                    spec.append(
+                        (bg, ba, r, k % 8, base + k // 3, bool(rng.random() < 0.3))
+                    )
+                    k += 1
+    return spec
+
+
+@pytest.mark.parametrize("arrive", [3, 6, 7, 9, 11, 14])
+def test_open_row_hit_admitted_to_bank_waiting_to_precharge(arrive):
+    """Bank (0, 0) serves row 1, then waits (tRAS) to precharge for the
+    row-2 request behind it; a row-1 request admitted meanwhile must
+    turn the bank's candidate from PRE back into a column command."""
+    spec = [
+        (0, 0, 1, 0, 0, False),
+        (0, 0, 2, 0, 0, False),
+        (1, 1, 3, 0, 1, True),
+        (1, 1, 4, 0, 2, False),
+        (0, 0, 1, 1, arrive, False),
+        (1, 1, 3, 1, arrive + 1, False),
+    ]
+    for window in (4, 64):
+        assert_requests_equivalent(
+            SMALL_CONFIG, lambda: requests_at(SMALL_CONFIG, spec), dict(window=window)
+        )
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("window", [4, 8, 64])
+def test_same_row_streaks_empty_and_refill_heaps(seed, window):
+    spec = streak_spec(seed)
+    assert_requests_equivalent(
+        SMALL_CONFIG, lambda: requests_at(SMALL_CONFIG, spec), dict(window=window)
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "ctrl_kwargs",
+    [
+        dict(policy=SchedulerPolicy.FCFS, window=16),
+        dict(starvation_cap=1, window=16),
+        dict(starvation_cap=2, window=8),
+    ],
+    ids=["fcfs", "cap1", "cap2"],
+)
+def test_head_path_retires_column_within_a_streak(seed, ctrl_kwargs):
+    """The head path (FCFS, or FR-FCFS past its starvation cap) issues
+    the head's column command while younger hits to the same row wait;
+    the FR-FCFS arbitration that follows must see the next of them."""
+    spec = streak_spec(seed, waves=4, gap=12)
+    assert_requests_equivalent(
+        SMALL_CONFIG, lambda: requests_at(SMALL_CONFIG, spec), ctrl_kwargs
     )
 
 

@@ -41,8 +41,56 @@ def test_reference_cap_is_recorded():
     )
     entry = payload["patterns"]["streaming"]
     assert entry["reference"]["n_requests"] == 200
-    assert "stats_identical" not in entry
+    # A capped reference is checked against an indexed drain of the
+    # same 200-request prefix.
+    assert entry["stats_identical"] is True
     assert payload["reference_requests"] == 200
+
+
+def test_smoke_payload_checks_every_reference(tmp_path):
+    """`repro bench --smoke` caps the reference below the indexed run,
+    and still compares the two schedulers on every pattern."""
+    from repro.cli import main
+
+    out = tmp_path / "BENCH_smoke.json"
+    assert main(["bench", "--smoke", "--output", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["reference_requests"] < payload["n_requests"]
+    for pattern, entry in payload["patterns"].items():
+        assert entry["stats_identical"] is True, pattern
+    assert all_identity_checks_pass(payload)
+
+
+def test_capped_reference_mismatch_fails_the_gate(monkeypatch, tmp_path):
+    import repro.dram.bench as bench_mod
+
+    real = bench_mod.ReferenceMemoryController.simulate
+
+    def off_by_one(self, requests):
+        stats = real(self, requests)
+        stats.total_cycles += 1
+        return stats
+
+    monkeypatch.setattr(bench_mod.ReferenceMemoryController, "simulate", off_by_one)
+    payload = bench_controller(
+        n_requests=400, patterns=("random",), reference_requests=200, seed=1
+    )
+    assert payload["patterns"]["random"]["stats_identical"] is False
+    assert not all_identity_checks_pass(payload)
+
+    from repro.cli import main
+
+    out = tmp_path / "B.json"
+    rc = main(
+        [
+            "bench",
+            "--requests", "300",
+            "--reference-requests", "150",
+            "--patterns", "random",
+            "--output", str(out),
+        ]
+    )
+    assert rc == 1
 
 
 def test_no_reference():
@@ -240,4 +288,7 @@ def test_identity_gate_covers_new_checks():
     payload = {"patterns": {"p": {"parallel_identical": False}}}
     assert not all_identity_checks_pass(payload)
     payload = {"patterns": {"p": {"streaming_identical": False}}}
+    assert not all_identity_checks_pass(payload)
+    # A reference run whose identity check is missing must not pass.
+    payload = {"patterns": {"p": {"reference": {}}}}
     assert not all_identity_checks_pass(payload)
