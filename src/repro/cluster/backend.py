@@ -141,7 +141,7 @@ class ShardedDramBackend:
         first = np.zeros(n, dtype=np.int64)
         complete = np.zeros(n, dtype=np.int64)
         delays = np.zeros(n, dtype=np.int64)
-        hits = np.zeros(n, dtype=np.uint8)
+        hits = np.zeros(n, dtype=bool)
         per_device: list[ControllerStats] = []
         n_channels = self.config.organization.n_channels
         merged = ControllerStats()

@@ -76,8 +76,8 @@ class ExpertReplayPlanner:
     """Maps serving requests to the DRAM regions of their experts.
 
     One planner is built per (model geometry, DRAM config) and reused
-    across co-simulation iterations; it is stateless across
-    :meth:`replay` calls.  Routing decisions come from the profile's
+    across co-simulation iterations; it keeps each request's blocks
+    (:meth:`request_blocks`).  Routing decisions come from the profile's
     per-layer popularity by default, or from real gating networks when
     ``routers`` is given (one :class:`~repro.moe.gating.Router` per
     MoE layer; each request then routes seeded token embeddings
@@ -146,6 +146,14 @@ class ExpertReplayPlanner:
             )
             for rank in range(n_moe_layers)
         ]
+        self._blocks: dict[tuple[int, int], np.ndarray] = {}
+
+    def __getstate__(self) -> dict:
+        # The block cache is a pure function of the rest of the state;
+        # drop it so pickles shipped to sweep workers stay small.
+        state = self.__dict__.copy()
+        state["_blocks"] = {}
+        return state
 
     # -- region geometry (consumed by repro.cluster sharding) -------------
 
@@ -213,7 +221,17 @@ class ExpertReplayPlanner:
 
     def request_blocks(self, request_id: int, tokens: int) -> np.ndarray:
         """Block indices fetched by one serving request, in layer
-        order -- deterministic in (seed, request_id, tokens) alone."""
+        order -- deterministic in (seed, request_id, tokens) alone, so
+        computed once per planner and returned read-only."""
+        key = (request_id, tokens)
+        blocks = self._blocks.get(key)
+        if blocks is None:
+            blocks = self._request_blocks(request_id, tokens)
+            blocks.flags.writeable = False
+            self._blocks[key] = blocks
+        return blocks
+
+    def _request_blocks(self, request_id: int, tokens: int) -> np.ndarray:
         if tokens < 1:
             raise ValueError("tokens must be >= 1")
         n_blocks = min(

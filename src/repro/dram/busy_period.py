@@ -179,9 +179,11 @@ def store(memo, key, a0, lo, hi, regs, hist, banks, columns, stats, stats0) -> N
     ``a0`` and just retired its last request.  ``regs`` are the
     channel registers (cb, dnext, lcc, lbg, law, raw, lact), ``banks``
     the per-bank lists (open row, eact, epre, ecol, row hits, row hits
-    at ``a0``), ``columns`` the drain's (bf, iswr, o_first, o_complete,
-    o_hit) lists and ``stats0`` the counters at ``a0``.  Skipped when a
-    value does not fit int32."""
+    at ``a0``), ``columns`` the drain's (bf, iswr) input lists and its
+    (o_first, o_complete, o_hit) output buffers (``array('q')``,
+    ``array('q')``, ``array('b')``, read here as numpy views) and
+    ``stats0`` the counters at ``a0``.  Skipped when a value does not
+    fit int32."""
     cb, dnext, lcc, lbg, law, raw, lact = regs
     b_open, b_eact, b_epre, b_ecol, b_hits, hits0 = banks
     bf, iswr, o_first, o_complete, o_hit = columns
@@ -218,9 +220,9 @@ def store(memo, key, a0, lo, hi, regs, hist, banks, columns, stats, stats0) -> N
             moved(b_ecol[b]),
             b_hits[b] - hits0[b],
         )
-    first = np.array(o_first[lo:hi], dtype=np.int64) - a0
-    done = (np.array(o_complete[lo:hi], dtype=np.int64) - a0) << 1
-    done |= np.array(o_hit[lo:hi], dtype=np.int64)
+    first = np.frombuffer(o_first, dtype=np.int64)[lo:hi] - a0
+    done = (np.frombuffer(o_complete, dtype=np.int64)[lo:hi] - a0) << 1
+    done |= np.frombuffer(o_hit, dtype=np.int8)[lo:hi]
     entry = np.concatenate((np.array(head, dtype=np.int64), first, done))
     if entry.max() > _INT32_MAX:
         return
@@ -230,19 +232,26 @@ def store(memo, key, a0, lo, hi, regs, hist, banks, columns, stats, stats0) -> N
 
 def apply(entry, a0, lo, hi, regs, hist, banks, outputs, stats) -> tuple:
     """Write the stored outcome ``entry`` for the segment ``lo:hi``
-    arriving at ``a0``: per-request outputs into ``outputs`` (o_first,
-    o_complete, o_hit), bank state into ``banks`` (open row, eact, epre,
-    ecol, row hits), ACTs into ``hist`` and counters into ``stats``.
-    Returns the channel registers ``regs`` (cb, dnext, lcc, lbg, law,
-    raw, lact) after the segment, plus its last completion cycle."""
+    arriving at ``a0``: per-request outputs into the ``outputs``
+    buffers (o_first, o_complete, o_hit: ``array('q')``,
+    ``array('q')``, ``array('b')``), one numpy slice each, bank state
+    into ``banks`` (open row, eact, epre, ecol, row hits), ACTs into
+    ``hist`` and counters into ``stats``.  Returns the channel
+    registers ``regs`` (cb, dnext, lcc, lbg, law, raw, lact) after the
+    segment, plus its last completion cycle."""
     cb, dnext, lcc, lbg, law, raw, lact = regs
     o_first, o_complete, o_hit = outputs
     b_open, b_eact, b_epre, b_ecol, b_hits = banks
     k = hi - lo
     done = entry[-k:]
-    o_first[lo:hi] = np.add(entry[-2 * k : -k], a0, dtype=np.int64).tolist()
-    o_complete[lo:hi] = np.add(done >> 1, a0, dtype=np.int64).tolist()
-    o_hit[lo:hi] = (done & 1).tolist()
+    # The entry is int32 and a0 an absolute cycle: widen before adding.
+    np.frombuffer(o_first, dtype=np.int64)[lo:hi] = np.add(
+        entry[-2 * k : -k], a0, dtype=np.int64
+    )
+    np.frombuffer(o_complete, dtype=np.int64)[lo:hi] = np.add(
+        done >> 1, a0, dtype=np.int64
+    )
+    np.frombuffer(o_hit, dtype=np.int8)[lo:hi] = done & 1
     (
         cb_at, done_at, dbus_at, col_at, lbg, law, raw_at, act_at,
         pc, ac, rc, rm, rh, n_tail, *rest,

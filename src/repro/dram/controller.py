@@ -77,6 +77,7 @@ import bisect
 import enum
 import heapq
 import logging
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
@@ -584,36 +585,19 @@ class MemoryController:
 
         def drain_serial() -> int:
             cycle = 0
-            bf_list = bf_sorted.tolist()
-            row_list = row_sorted.tolist()
-            col_list = col_sorted.tolist()
-            wr_list = wr_sorted.tolist()
-            arr_list = arr_sorted.tolist()
             for channel in self.channels:
                 lo, hi = int(bounds[channel.index]), int(bounds[channel.index + 1])
                 if lo == hi:
                     continue
-                o_first = [-1] * (hi - lo)
-                o_complete = [0] * (hi - lo)
-                o_hit = [-1] * (hi - lo)
-                last, idle = self._drain_channel(
+                last, idle, o_first, o_complete, o_hit = self._drain_channel(
                     channel,
-                    bf_list[lo:hi],
-                    row_list[lo:hi],
-                    col_list[lo:hi],
-                    wr_list[lo:hi],
-                    arr_list[lo:hi],
-                    o_first,
-                    o_complete,
-                    o_hit,
+                    bf_sorted[lo:hi],
+                    row_sorted[lo:hi],
+                    col_sorted[lo:hi],
+                    wr_sorted[lo:hi],
+                    arr_sorted[lo:hi],
                     stats,
                     memo,
-                    (
-                        bf_sorted[lo:hi],
-                        row_sorted[lo:hi],
-                        col_sorted[lo:hi],
-                        wr_sorted[lo:hi],
-                    ),
                 )
                 idxs = order[lo:hi]
                 first[idxs] = o_first
@@ -682,9 +666,10 @@ class MemoryController:
             stats.queue_delay_p99 = 0.0
             stats.queue_delay_max = 0
             return
+        p50, p99 = np.percentile(delays, (50, 99)).tolist()
         stats.queue_delay_mean = float(delays.mean())
-        stats.queue_delay_p50 = float(np.percentile(delays, 50))
-        stats.queue_delay_p99 = float(np.percentile(delays, 99))
+        stats.queue_delay_p50 = p50
+        stats.queue_delay_p99 = p99
         stats.queue_delay_max = int(delays.max())
 
     def sustained_bandwidth(self, stats: ControllerStats) -> float:
@@ -699,42 +684,53 @@ class MemoryController:
     def _drain_channel(
         self,
         channel: Channel,
-        bf: list[int],
-        row: list[int],
-        col: list[int],
-        iswr: list[bool],
-        arr: list[int],
-        o_first: list[int],
-        o_complete: list[int],
-        o_hit: list[int],
+        bf: np.ndarray,
+        row: np.ndarray,
+        col: np.ndarray,
+        iswr: np.ndarray,
+        arr: np.ndarray,
         stats: ControllerStats,
         memo=None,
-        content: Optional[tuple] = None,
-    ) -> tuple[int, int]:
-        """Drain one channel's FIFO queue (requests given as parallel
-        arrays of flat bank index / row / column / is-write /
-        arrive-cycle, ordered by arrival).
+    ) -> tuple:
+        """Drain one channel's FIFO queue: contiguous arrays of flat
+        bank index / row / column / bool is-write / arrive-cycle,
+        ordered by arrival (the channel's slice of the sorted columns;
+        they are also the busy-period ``memo``'s key columns, see the
+        module docstring).  The one drain body of the serial path, the
+        pool workers and their in-parent fallback.
 
-        Per-request outputs land in the ``o_*`` lists (same order as
-        the inputs): first-command cycle, completion cycle, and row-hit
-        class (1 hit / 0 miss-or-conflict); ``-1`` means not yet set.
-
-        Single-feed wrapper over :meth:`_drain_channel_gen` -- the
-        whole queue goes in as one final chunk, so the generator runs
-        to completion without ever yielding for more input.  Returns
-        ``(last_complete_cycle, idle_cycles)``.
-
-        ``memo`` is the busy-period memo (module docstring) and
-        ``content`` its key columns: contiguous arrays of flat bank,
-        row, column and write bit, parallel to the inputs.
+        Single-feed wrapper over :meth:`_drain_channel_gen`: the
+        columns go in as one final chunk of lists, so the generator
+        runs to completion without yielding for more input.  Outputs
+        go to ``array('q')``, ``array('q')`` and ``array('b')`` buffers
+        (a memo hit writes them as numpy slices).  Returns
+        ``(last_complete_cycle, idle_cycles, first, complete, hit)``,
+        the outputs as ``int64``/``int64``/``int8`` arrays over those
+        buffers, in input order: first-command cycle, completion
+        cycle, and row-hit class (1 hit / 0 miss-or-conflict).
         """
-        gen = self._drain_channel_gen(channel, stats, memo=memo, content=content)
+        k = arr.shape[0]
+        o_first = array("q", [-1]) * k
+        o_complete = array("q", bytes(8 * k))
+        o_hit = array("b", [-1]) * k
+        gen = self._drain_channel_gen(
+            channel, stats, memo=memo, content=(bf, row, col, iswr)
+        )
         next(gen)
+        columns = (bf.tolist(), row.tolist(), col.tolist(), iswr.tolist(), arr.tolist())
         try:
-            gen.send((bf, row, col, iswr, arr, o_first, o_complete, o_hit, None, True))
+            gen.send((*columns, o_first, o_complete, o_hit, None, True))
         except StopIteration as stop:
-            return stop.value
-        raise AssertionError("channel drain did not complete on a final feed")
+            last, idle = stop.value
+        else:  # pragma: no cover - defensive
+            raise AssertionError("channel drain did not complete on a final feed")
+        return (
+            last,
+            idle,
+            np.frombuffer(o_first, dtype=np.int64),
+            np.frombuffer(o_complete, dtype=np.int64),
+            np.frombuffer(o_hit, dtype=np.int8),
+        )
 
     def _drain_channel_gen(
         self,
@@ -822,7 +818,8 @@ class MemoryController:
         live requests through the ordinary admission path, so the
         command stream is bit-identical to the single-feed run.
         ``delays_out``/``gidx`` may be omitted only for single-feed
-        (eof) use, where outputs stay in the caller's ``o_*`` lists.
+        (eof) use, where outputs stay in the caller's ``o_*`` buffers.
+        Streaming feeds pass lists, which compaction rebuilds.
 
         ``memo``/``content`` (see :meth:`_drain_channel`) are for
         single-feed use only: the memo indexes ``content`` by request

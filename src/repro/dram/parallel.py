@@ -2,7 +2,7 @@
 
 DRAM channels share no timing state -- the controller already drains
 them one at a time through the self-contained
-:meth:`~repro.dram.controller.MemoryController._drain_channel` loop
+:meth:`~repro.dram.controller.MemoryController._drain_channel` body
 and merges stats afterwards.  This module fans those independent
 drains out over a persistent ``multiprocessing`` pool:
 
@@ -174,6 +174,45 @@ def _worker_controller(params: bytes):
     return controller
 
 
+def _drain_task(controller, task: tuple, in_buf, out_buf) -> tuple:
+    """Drain one channel's row slice of the input block on
+    ``controller``, starting from the task's pre-drain state, and write
+    its outputs into the output block.  Returns ``(channel_index,
+    post-drain ChannelState, activates, precharges, row_hits,
+    row_misses, row_conflicts, last_complete_cycle, idle_cycles)``."""
+    from repro.dram.controller import ControllerStats
+
+    _params, ci, _in_name, n, lo, hi, _out_name, state = task
+    bf, row, col, arr, iswr = _input_views(in_buf, n)
+    channel = controller.channels[ci]
+    state.apply(channel)
+    stats = ControllerStats()
+    last, idle, o_first, o_complete, o_hit = controller._drain_channel(
+        channel,
+        bf[lo:hi],
+        row[lo:hi],
+        col[lo:hi],
+        iswr[lo:hi].view(np.bool_),
+        arr[lo:hi],
+        stats,
+    )
+    first, complete, hit = _output_views(out_buf, n)
+    first[lo:hi] = o_first
+    complete[lo:hi] = o_complete
+    hit[lo:hi] = o_hit
+    return (
+        ci,
+        ChannelState.capture(channel),
+        stats.activates,
+        stats.precharges,
+        stats.row_hits,
+        stats.row_misses,
+        stats.row_conflicts,
+        last,
+        idle,
+    )
+
+
 def _drain_worker(
     params: bytes,
     channel_index: int,
@@ -187,12 +226,9 @@ def _drain_worker(
     """Drain one channel's row slice inside a pool worker.
 
     Module-level and fully picklable, so it works under both ``fork``
-    and ``spawn`` start methods.  Returns ``(channel_index, post-drain
-    ChannelState, activates, precharges, row_hits, row_misses,
-    row_conflicts, last_complete_cycle, idle_cycles)``; per-request
-    outputs go straight into the shared output block.
+    and ``spawn`` start methods.  Returns :func:`_drain_task`'s tuple;
+    per-request outputs go straight into the shared output block.
     """
-    from repro.dram.controller import ControllerStats
     from repro.faults import maybe_inject_worker_fault
 
     # Deterministic fault-injection hook (no-op unless a plan is
@@ -207,43 +243,8 @@ def _drain_worker(
     shm_in = shared_memory.SharedMemory(name=in_name)
     shm_out = shared_memory.SharedMemory(name=out_name)
     try:
-        bf, row, col, arr, iswr = _input_views(shm_in.buf, n)
-        k = hi - lo
-        o_first = [-1] * k
-        o_complete = [0] * k
-        o_hit = [-1] * k
-        channel = controller.channels[channel_index]
-        state.apply(channel)
-        stats = ControllerStats()
-        last, idle = controller._drain_channel(
-            channel,
-            bf[lo:hi].tolist(),
-            row[lo:hi].tolist(),
-            col[lo:hi].tolist(),
-            [bool(w) for w in iswr[lo:hi]],
-            arr[lo:hi].tolist(),
-            o_first,
-            o_complete,
-            o_hit,
-            stats,
-        )
-        first, complete, hit = _output_views(shm_out.buf, n)
-        first[lo:hi] = o_first
-        complete[lo:hi] = o_complete
-        hit[lo:hi] = o_hit
-        result = (
-            channel_index,
-            ChannelState.capture(channel),
-            stats.activates,
-            stats.precharges,
-            stats.row_hits,
-            stats.row_misses,
-            stats.row_conflicts,
-            last,
-            idle,
-        )
-        del bf, row, col, arr, iswr, first, complete, hit
-        return result
+        task = (params, channel_index, in_name, n, lo, hi, out_name, state)
+        return _drain_task(controller, task, shm_in.buf, shm_out.buf)
     finally:
         try:
             shm_in.close()
@@ -263,61 +264,6 @@ class ParallelDrainExecutor(SupervisedPool):
     first use and survives across ``drain`` calls; shared-memory
     blocks are per call.
     """
-
-    def _serial_drain_task(self, controller, task, arrays, out_buf, n):
-        """Drain one channel in the parent after the pool gave up on
-        it.
-
-        Replays exactly what :func:`_drain_worker` would have done --
-        same pre-drain state snapshot, same output offsets -- but on
-        the parent's controller.  The channel's pre-drain state is
-        restored before returning (even on failure), so the caller's
-        transactional merge applies every channel's post-state
-        uniformly.
-        """
-        from repro.dram.controller import ControllerStats
-
-        _params, ci, _in_name, _n, lo, hi, _out_name, state0 = task
-        bf, row, col, wr, arr = arrays
-        channel = controller.channels[ci]
-        k = hi - lo
-        o_first = [-1] * k
-        o_complete = [0] * k
-        o_hit = [-1] * k
-        local = ControllerStats()
-        state0.apply(channel)
-        try:
-            last, idle = controller._drain_channel(
-                channel,
-                bf[lo:hi].tolist(),
-                row[lo:hi].tolist(),
-                col[lo:hi].tolist(),
-                [bool(w) for w in wr[lo:hi]],
-                arr[lo:hi].tolist(),
-                o_first,
-                o_complete,
-                o_hit,
-                local,
-            )
-            post = ChannelState.capture(channel)
-        finally:
-            state0.apply(channel)
-        first, complete, hit = _output_views(out_buf, n)
-        first[lo:hi] = o_first
-        complete[lo:hi] = o_complete
-        hit[lo:hi] = o_hit
-        del first, complete, hit
-        return (
-            ci,
-            post,
-            local.activates,
-            local.precharges,
-            local.row_hits,
-            local.row_misses,
-            local.row_conflicts,
-            last,
-            idle,
-        )
 
     def drain(
         self,
@@ -390,7 +336,6 @@ class ParallelDrainExecutor(SupervisedPool):
             task_by_ci = {task[1]: task for task in tasks}
             results, failed = self.run(_drain_worker, task_by_ci, resilience)
             if failed:
-                arrays = (bf_sorted, row_sorted, col_sorted, wr_sorted, arr_sorted)
                 for ci in sorted(failed):
                     resilience.record(
                         KIND_SERIAL_FALLBACK,
@@ -398,14 +343,22 @@ class ParallelDrainExecutor(SupervisedPool):
                         detail="retries exhausted; channel drained serially "
                         "in parent",
                     )
+                    # The same drain on the parent's controller and
+                    # blocks; the channel's pre-drain state is restored
+                    # (even on failure) so the merge below applies every
+                    # channel's post-state uniformly.
+                    task = task_by_ci[ci]
+                    state0 = task[-1]
                     try:
-                        results[ci] = self._serial_drain_task(
-                            controller, task_by_ci[ci], arrays, shm_out.buf, n
+                        results[ci] = _drain_task(
+                            controller, task, shm_in.buf, shm_out.buf
                         )
                     except Exception as exc:
                         raise ParallelDrainError(
                             f"serial fallback for channel {ci} failed: {exc}"
                         ) from exc
+                    finally:
+                        state0.apply(controller.channels[ci])
             final_cycle = 0
             # Transactional merge, in channel-index order: no channel
             # state or caller-visible counter is touched until every

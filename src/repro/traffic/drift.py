@@ -112,7 +112,7 @@ class DriftingReplayPlanner(ExpertReplayPlanner):
 
     def __getstate__(self) -> dict:
         # The cache is a pure function of (drift, _popularity); drop
-        # it so pickles shipped to sweep workers stay small.
-        state = self.__dict__.copy()
+        # it like the block cache so pickles stay small.
+        state = super().__getstate__()
         state["_drift_cache"] = {}
         return state

@@ -123,6 +123,32 @@ def test_simulate_with_memo_is_exact(planner, trace_arrays, n_devices):
 
 
 @pytest.mark.parametrize("n_devices", [1, 2])
+def test_returned_timings_own_their_memory(planner, trace_arrays, n_devices):
+    """Two successive ``simulate`` calls (the 1-device pass-through is
+    ``simulate_arrays(detail=True)``) return writable arrays of their
+    own: writing into the first result leaves the second unchanged."""
+    addrs, arrive, flags, request_ids = trace_arrays
+    backend = ShardedDramBackend(
+        small_cosim_dram(), n_devices=n_devices, policy="expert_parallel",
+        planner=planner,
+    )
+    memo = SegmentMemo()
+    _, first = backend.simulate(addrs, arrive, flags, request_ids, memo=memo)
+    _, second = backend.simulate(addrs, arrive, flags, request_ids, memo=memo)
+    names = ("first_command_cycles", "complete_cycles", "queue_delays", "row_hits")
+    dtypes = (np.int64, np.int64, np.int64, np.bool_)
+    want = {name: getattr(second, name).copy() for name in names}
+    for name, dtype in zip(names, dtypes):
+        a, b = getattr(first, name), getattr(second, name)
+        assert a.dtype == dtype and b.dtype == dtype, name
+        assert a.flags.writeable and b.flags.writeable, name
+        assert np.array_equal(a, b), name
+        a[:] = ~a if dtype == np.bool_ else a + 1
+    for name in names:
+        assert np.array_equal(getattr(second, name), want[name]), name
+
+
+@pytest.mark.parametrize("n_devices", [1, 2])
 def test_isolation_baselines_equal_a_cold_drain(planner, trace_arrays, n_devices):
     """The driver's isolation baselines drain the serialized stream
     through ``simulate`` with its memo: they equal a cold, memo-less

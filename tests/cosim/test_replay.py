@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.cluster.balancer import assign_replicas
 from repro.core.strategies import Scheme
 from repro.cosim import ExpertReplayPlanner, SyntheticReplayPlanner, small_cosim_dram
+from repro.cosim.sweep import point_requests
+from repro.experiments import build_components, get_preset
 from repro.moe.gating import Router
 from repro.serving.simulator import CostModel, ServingSimulator
 from repro.serving.workload import Request
@@ -90,6 +93,47 @@ def test_addresses_deterministic_and_stable():
     assert not (planner(seed=6).request_blocks(3, tokens=25) == a).all()
     assert not (p.request_blocks(4, tokens=25) == a).all()
     assert p.stable_addresses
+
+
+class _ColdPlanner:
+    """``request_blocks`` from a fresh planner on every call."""
+
+    def __init__(self, build):
+        self.build = build
+        self.config = build().config
+
+    def request_blocks(self, request_id, tokens):
+        return self.build().request_blocks(request_id, tokens)
+
+    def region_of_addrs(self, addrs):
+        return self.build().region_of_addrs(addrs)
+
+
+def test_block_cache_is_read_only_and_matches_cold_planners():
+    """Blocks are computed once per planner and returned read-only; a
+    warm planner answers every request of the smoke stream exactly as
+    a cold one does, and router-aware placement does not change."""
+    config = get_preset("smoke")
+
+    def build():
+        return build_components(config)[2]
+
+    requests = point_requests(
+        max(config.rates), config.n_requests, config.seed, config.serving
+    )
+    warm = build()
+    keys = [(r.request_id, r.prompt_tokens + r.decode_tokens) for r in requests]
+    for key in keys:
+        warm.request_blocks(*key)
+    for key in keys:
+        blocks = warm.request_blocks(*key)
+        assert blocks is warm.request_blocks(*key)
+        assert not blocks.flags.writeable
+        with pytest.raises(ValueError):
+            blocks[0] = 0
+        np.testing.assert_array_equal(blocks, build().request_blocks(*key))
+    cold = assign_replicas(requests, 2, "router_aware", planner=_ColdPlanner(build))
+    assert assign_replicas(requests, 2, "router_aware", planner=warm) == cold
 
 
 def test_blocks_land_in_activated_expert_regions():

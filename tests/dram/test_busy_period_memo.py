@@ -331,6 +331,27 @@ def test_shifted_stream_is_served_from_the_memo_alone():
     _assert_same(shifted, _run(spec, addrs, arrive + 12345, flags))
 
 
+def test_hit_past_int32_cycles():
+    """Stored outcomes are int32 and relative to their arrival ``a0``;
+    applying one at ``a0 >= 2**33`` must widen before adding.  A memo
+    filled by the stream near cycle 0 serves the same stream shifted
+    past ``2**33``, which equals a cold drain of it."""
+    spec = ControllerSpec(_SMALL)
+    a = _spread_burst(_SMALL) + _spread_burst(_SMALL, channel=1)
+    b = [_address(_SMALL, 0, bank, 5, col) for bank in (1, 3) for col in range(5)]
+    addrs, arrive, flags = _wide(spec, [a, b, a, b, a])
+    flags[::3] = FLAG_WRITE
+    arrive += 5000
+    memo = SegmentMemo()
+    _run(spec, addrs, arrive, flags, memo=memo)
+    hits = memo.hits
+    far = arrive + (1 << 33)
+    shifted = _run(spec, addrs, far, flags, memo=memo)
+    assert memo.hits > hits
+    _assert_same(shifted, _run(spec, addrs, far, flags))
+    assert shifted[2].complete_cycles.min() > 1 << 33
+
+
 @pytest.mark.parametrize("variant", ["offsets", "write bits"])
 def test_memo_key_covers_offsets_and_write_bits(variant):
     """``[A, A, B]`` where B has A's addresses but other arrival offsets

@@ -87,6 +87,8 @@ def test_drift_actually_changes_popularity_across_windows():
 def test_pickle_round_trip_drops_cache_and_matches():
     planner = _drift_planner()
     want = planner.request_blocks(41, tokens=24)
+    assert planner._blocks and planner._drift_cache
     clone = pickle.loads(pickle.dumps(planner))
     assert clone._drift_cache == {}
+    assert clone._blocks == {}
     np.testing.assert_array_equal(clone.request_blocks(41, tokens=24), want)
