@@ -17,8 +17,18 @@ from __future__ import annotations
 
 import enum
 from collections import OrderedDict
+from typing import Sequence
 
 import numpy as np
+
+
+def _expert_list(expert_ids) -> Sequence:
+    """Expert ids as a flat sequence: a numpy array is flattened, any
+    other sequence of ints (the layer engine passes lists and tuples)
+    is used as it is."""
+    if isinstance(expert_ids, np.ndarray):
+        return expert_ids.ravel().tolist()
+    return expert_ids
 
 
 class ReplacementPolicy(enum.Enum):
@@ -58,7 +68,7 @@ class ExpertCache:
     def __contains__(self, key: tuple[int, int]) -> bool:
         return key in self._slots
 
-    def access(self, layer_id: int, expert_ids: np.ndarray) -> tuple[int, int]:
+    def access(self, layer_id: int, expert_ids: Sequence[int]) -> tuple[int, int]:
         """Touch the given experts of one layer; returns
         (n_hits, n_misses) and installs the misses with LRU eviction.
 
@@ -68,7 +78,7 @@ class ExpertCache:
         """
         hits = 0
         misses = 0
-        for expert in np.asarray(expert_ids).ravel():
+        for expert in _expert_list(expert_ids):
             key = (layer_id, int(expert))
             if key in self._slots:
                 if self.policy is ReplacementPolicy.LRU:
@@ -104,10 +114,10 @@ class ReadOnlyCacheView:
     def __init__(self, cache: ExpertCache) -> None:
         self._cache = cache
 
-    def access(self, layer_id: int, expert_ids: np.ndarray) -> tuple[int, int]:
+    def access(self, layer_id: int, expert_ids: Sequence[int]) -> tuple[int, int]:
         hits = 0
         misses = 0
-        for expert in np.asarray(expert_ids).ravel():
+        for expert in _expert_list(expert_ids):
             if (layer_id, int(expert)) in self._cache:
                 hits += 1
             else:
@@ -128,15 +138,23 @@ class SteadyStateCacheView:
     Costing against the current buffer instead deadlocks: an all-NDP
     partition never populates the buffer, every evaluation sees
     misses, and H stays pinned at zero.
+
+    ``version`` counts :meth:`note` calls.  :meth:`access` reads only
+    the seen counts, which only ``note`` changes, so two accesses at
+    one version with the same arguments give the same answer: callers
+    may reuse a result costed against this view for as long as the
+    version is unchanged (the runtime's tuner evaluator does).
     """
 
     def __init__(self, capacity_slots: int) -> None:
         self.capacity_slots = capacity_slots
         self._seen_count: dict[tuple[int, int], int] = {}
+        self.version = 0
 
-    def note(self, layer_id: int, expert_ids: np.ndarray) -> None:
+    def note(self, layer_id: int, expert_ids: Sequence[int]) -> None:
         """Record one observed activation set for a layer."""
-        for expert in np.asarray(expert_ids).ravel():
+        self.version += 1
+        for expert in _expert_list(expert_ids):
             key = (layer_id, int(expert))
             self._seen_count[key] = self._seen_count.get(key, 0) + 1
 
@@ -144,11 +162,11 @@ class SteadyStateCacheView:
     def working_set_fits(self) -> bool:
         return len(self._seen_count) <= self.capacity_slots
 
-    def access(self, layer_id: int, expert_ids: np.ndarray) -> tuple[int, int]:
+    def access(self, layer_id: int, expert_ids: Sequence[int]) -> tuple[int, int]:
         hits = 0
         misses = 0
         fits = self.working_set_fits
-        for expert in np.asarray(expert_ids).ravel():
+        for expert in _expert_list(expert_ids):
             recurring = self._seen_count.get((layer_id, int(expert)), 0) >= 2
             if fits and recurring:
                 hits += 1

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.cache import ExpertCache
-from repro.core.load_balancer import LoadBalancer, Partition
+from repro.core.load_balancer import LoadBalancer, intensity_order
 from repro.core.strategies import AMoveStrategy, PMoveStrategy, Scheme
 from repro.dram.config import DRAMConfig
 from repro.hw.cpu import CPUModel
@@ -110,9 +110,13 @@ class Platform:
         return self.n_monde_devices * self.monde_bandwidth
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayerResult:
-    """Outcome of one MoE layer under one scheme."""
+    """Outcome of one MoE layer under one scheme.
+
+    Frozen: the engine may hand the same result to several calls (see
+    :class:`MoELayerEngine`), so treat its timeline as read-only too.
+    """
 
     scheme: Scheme
     seconds: float
@@ -127,8 +131,46 @@ class LayerResult:
     t_mdwf: float = 0.0
 
 
+_SINGLE_LAYER_SCHEMES = frozenset(
+    (Scheme.IDEAL, Scheme.GPU_PM, Scheme.MD_AM, Scheme.MD_LB, Scheme.CPU_AM)
+)
+
+
+def _count_list(counts: np.ndarray) -> list[int]:
+    """Validated per-expert token counts as a list of Python ints.
+
+    Counts must be non-negative whole numbers: a fractional count
+    would make an expert active (``> 0``) yet give it no tokens to
+    compute.  Integral float arrays are accepted and converted.
+    """
+    if counts.dtype.kind in "iu":
+        values = counts.tolist()
+        if values and min(values) < 0:
+            raise ValueError("token counts must be non-negative")
+        return values
+    if np.any(counts < 0):
+        raise ValueError("token counts must be non-negative")
+    if counts.dtype.kind != "b" and not np.all(
+        np.isfinite(counts) & (counts == np.floor(counts))
+    ):
+        raise ValueError("token counts must be whole numbers")
+    return counts.astype(np.int64).tolist()
+
+
 class MoELayerEngine:
-    """Builds per-scheme timelines for single MoE layer invocations."""
+    """Builds per-scheme timelines for single MoE layer invocations.
+
+    A call without an expert cache (``cache=None``) is a pure function
+    of the scheme, the counts (their dtype and bytes) and the resolved
+    token count -- and, under ``MD_LB``, of the H that ``alpha``
+    resolves to, since the hot/cold partition reads alpha only through
+    H and nothing else in the layer reads it at all.  The engine
+    memoizes those calls per instance and returns the stored frozen
+    :class:`LayerResult`, so a repeat gives the very same floats.  A
+    call with an :class:`~repro.core.cache.ExpertCache` or a cache view
+    reads (and may change) state outside the engine and is never served
+    from the memo.
+    """
 
     def __init__(self, model: MoEModelConfig, platform: Optional[Platform] = None) -> None:
         if not model.is_moe:
@@ -141,6 +183,7 @@ class MoELayerEngine:
             self.platform.pcie_spec.effective_bandwidth,
             self.platform.aggregate_monde_bandwidth,
         )
+        self._memo: dict[tuple, LayerResult] = {}
 
     # -- shared pieces -------------------------------------------------------
 
@@ -151,9 +194,8 @@ class MoELayerEngine:
             gpu.spec.kernel_launch_overhead
         )
 
-    def _framework_overhead(self, counts: np.ndarray) -> float:
+    def _framework_overhead(self, routed: int) -> float:
         ov = self.platform.overheads
-        routed = int(np.asarray(counts).sum())
         return ov.moe_fixed + ov.per_routed_token * routed
 
     def _gpu_expert_time(self, tokens: int) -> float:
@@ -178,8 +220,8 @@ class MoELayerEngine:
     def _schedule_gpu_workflow(
         self,
         timeline: Timeline,
-        counts: np.ndarray,
-        expert_ids: np.ndarray,
+        counts: list[int],
+        expert_ids: list[int],
         layer_id: int,
         cache: Optional[ExpertCache],
         start_after: float = 0.0,
@@ -191,40 +233,37 @@ class MoELayerEngine:
         follows its own transfer, overlapping subsequent transfers --
         the on-demand pipelined PMove of Fig. 5's GPU+PM row.
         """
-        pcie = self.platform.pcie
         expert_bytes = self.pmove.expert_bytes
+        transfer_time = self.platform.pcie.transfer_time(expert_bytes)
         hits = misses = 0
         pmove_bytes = 0
         finish = start_after
         for expert in expert_ids:
-            tokens = int(counts[expert])
+            tokens = counts[expert]
             if tokens == 0:
                 continue
             cached = False
             if cache is not None:
-                h, m = cache.access(layer_id, np.asarray([expert]))
+                h, m = cache.access(layer_id, (expert,))
                 cached = h == 1
                 hits += h
                 misses += m
-            gate = start_after
-            deps: list[Segment] = []
+            deps: tuple[Segment, ...] = ()
             if not cached:
                 transfer = timeline.enqueue(
-                    "h2d",
-                    pcie.transfer_time(expert_bytes),
-                    label="p",
-                    not_before=gate,
+                    "h2d", transfer_time, label="p", not_before=start_after
                 )
                 pmove_bytes += expert_bytes
-                deps = [transfer]
+                deps = (transfer,)
             compute = timeline.enqueue(
                 "gpu",
                 self._gpu_expert_time(tokens),
                 label="e",
                 after=deps,
-                not_before=gate,
+                not_before=start_after,
             )
-            finish = max(finish, compute.end)
+            if compute.end > finish:
+                finish = compute.end
         return finish, pmove_bytes, hits, misses
 
     # -- MoNDE-side workflow (AMove + NDP compute) ------------------------------
@@ -232,8 +271,8 @@ class MoELayerEngine:
     def _schedule_monde_workflow(
         self,
         timeline: Timeline,
-        counts: np.ndarray,
-        expert_ids: np.ndarray,
+        counts: list[int],
+        expert_ids: list[int],
         start_after: float = 0.0,
     ) -> tuple[float, int]:
         """Schedule AMove + NDP compute for the given experts over the
@@ -247,47 +286,40 @@ class MoELayerEngine:
         if not active:
             return start_after, 0
         # Round-robin by compute intensity (Section 3.3).
-        order = sorted(active, key=lambda e: (-counts[e], e))
-        per_device: list[list[int]] = [[] for _ in range(n_dev)]
-        for i, expert in enumerate(order):
-            per_device[i % n_dev].append(expert)
+        order = intensity_order(counts, active)
+        per_device: list[list[int]] = [order[dev::n_dev] for dev in range(n_dev)]
 
         amove_bytes = 0
-        finishes: list[float] = []
-        out_deps: list[tuple[int, Segment]] = []
+        outputs: list[tuple[int, Segment]] = []
         for dev, experts in enumerate(per_device):
             if not experts:
                 continue
-            dev_counts = np.asarray([counts[e] for e in experts])
-            in_bytes = self.amove.input_bytes(dev_counts)
-            amove_bytes += in_bytes
+            dev_bytes = self.amove.token_bytes(sum(counts[e] for e in experts))
+            amove_bytes += dev_bytes
             stream_name = "monde" if dev == 0 else f"monde{dev}"
             # Input activations transferred separately to each device.
-            ain = timeline.enqueue(
-                "d2h", pcie.transfer_time(in_bytes), label="a", not_before=start_after
+            last = timeline.enqueue(
+                "d2h", pcie.transfer_time(dev_bytes), label="a", not_before=start_after
             )
-            prev: list[Segment] = [ain]
             for expert in experts:
-                seg = timeline.enqueue(
+                last = timeline.enqueue(
                     stream_name,
-                    self._ndp_expert_time(int(counts[expert]), engines[dev]),
+                    self._ndp_expert_time(counts[expert], engines[dev]),
                     label="e",
-                    after=prev,
+                    after=(last,),
                 )
-                prev = [seg]
-            out_deps.append((dev, prev[0]))
+            outputs.append((dev_bytes, last))
 
-        # Outputs retrieved sequentially from each device (Section 3.3).
-        for dev, last in sorted(out_deps, key=lambda t: t[0]):
-            experts = per_device[dev]
-            dev_counts = np.asarray([counts[e] for e in experts])
-            out_bytes = self.amove.output_bytes(dev_counts)
-            amove_bytes += out_bytes
+        # Outputs retrieved sequentially from each device, in device
+        # order (Section 3.3); a device returns as many bytes as it got.
+        finish = start_after
+        for dev_bytes, last in outputs:
+            amove_bytes += dev_bytes
             aout = timeline.enqueue(
-                "h2d", pcie.transfer_time(out_bytes), label="a", after=[last]
+                "h2d", pcie.transfer_time(dev_bytes), label="a", after=(last,)
             )
-            finishes.append(aout.end)
-        return max(finishes), amove_bytes
+            finish = aout.end
+        return finish, amove_bytes
 
     # -- schemes ---------------------------------------------------------------
 
@@ -301,159 +333,182 @@ class MoELayerEngine:
         n_tokens: Optional[int] = None,
     ) -> LayerResult:
         """Latency of one MoE layer under ``scheme`` for the routed
-        ``counts`` (length-E array of token counts per expert)."""
-        counts = np.asarray(counts)
-        if counts.shape != (self.model.n_experts,):
+        ``counts`` (length-E array of non-negative whole token counts
+        per expert).  Calls with ``cache=None`` are memoized (see the
+        class docstring)."""
+        array = np.asarray(counts)
+        if array.shape != (self.model.n_experts,):
             raise ValueError(
-                f"counts must have shape ({self.model.n_experts},), got {counts.shape}"
+                f"counts must have shape ({self.model.n_experts},), got {array.shape}"
             )
-        if np.any(counts < 0):
-            raise ValueError("token counts must be non-negative")
+        if scheme not in _SINGLE_LAYER_SCHEMES:
+            raise ValueError(f"scheme {scheme} is not a single-layer scheme")
+        values = _count_list(array)
+        routed = sum(values)
         tokens = (
             int(n_tokens)
             if n_tokens is not None
-            else max(1, int(counts.sum()) // max(1, self.model.top_k))
+            else max(1, routed // max(1, self.model.top_k))
         )
-        if scheme is Scheme.IDEAL:
-            return self._ideal(counts, tokens)
-        if scheme is Scheme.GPU_PM:
-            return self._gpu_pm(counts, tokens, layer_id, cache)
-        if scheme is Scheme.MD_AM:
-            return self._md_am(counts, tokens)
+        active = array.nonzero()[0].tolist()
+        h = 0
         if scheme is Scheme.MD_LB:
-            return self._md_lb(counts, tokens, layer_id, cache, alpha)
-        if scheme is Scheme.CPU_AM:
-            return self._cpu_am(counts, tokens)
-        raise ValueError(f"scheme {scheme} is not a single-layer scheme")
+            h = self.balancer.model.h_value(len(active), alpha=alpha)
+        if cache is not None:
+            return self._layer(scheme, values, active, routed, tokens, layer_id, cache, h)
+        key = (scheme, array.dtype.str, array.tobytes(), tokens, h)
+        result = self._memo.get(key)
+        if result is None:
+            result = self._layer(scheme, values, active, routed, tokens, layer_id, None, h)
+            self._memo[key] = result
+        return result
 
-    def _prologue(self, timeline: Timeline, counts: np.ndarray, tokens: int) -> Segment:
+    def _layer(
+        self,
+        scheme: Scheme,
+        counts: list[int],
+        active: list[int],
+        routed: int,
+        tokens: int,
+        layer_id: int,
+        cache: Optional[ExpertCache],
+        h: int,
+    ) -> LayerResult:
+        """Build one layer's timeline: ``active`` lists the experts with
+        tokens in id order, ``routed`` is the sum of ``counts`` and
+        ``h`` the number of hot experts (``MD_LB`` only)."""
+        timeline = self._new_timeline()
+        start = self._prologue(timeline, routed, tokens).end
+        if scheme is Scheme.IDEAL:
+            return self._ideal(timeline, start, counts, active)
+        if scheme is Scheme.GPU_PM:
+            return self._gpu_pm(timeline, start, counts, active, layer_id, cache)
+        if scheme is Scheme.MD_AM:
+            return self._md_am(timeline, start, counts, active)
+        if scheme is Scheme.MD_LB:
+            return self._md_lb(timeline, start, counts, active, layer_id, cache, h)
+        return self._cpu_am(timeline, start, counts, active, routed)
+
+    def _prologue(self, timeline: Timeline, routed: int, tokens: int) -> Segment:
         """Gating + framework dispatch on the GPU stream."""
         gating = timeline.enqueue("gpu", self._gating_time(tokens), label="g")
-        dispatch = timeline.enqueue(
-            "gpu", self._framework_overhead(counts), label="d", after=[gating]
+        return timeline.enqueue(
+            "gpu", self._framework_overhead(routed), label="d", after=(gating,)
         )
-        return dispatch
 
-    def _ideal(self, counts: np.ndarray, tokens: int) -> LayerResult:
-        timeline = self._new_timeline()
-        prologue = self._prologue(timeline, counts, tokens)
-        finish = prologue.end
-        for expert in np.flatnonzero(counts > 0):
-            seg = timeline.enqueue(
-                "gpu", self._gpu_expert_time(int(counts[expert])), label="e"
-            )
-            finish = seg.end
+    def _ideal(
+        self, timeline: Timeline, start: float, counts: list[int], active: list[int]
+    ) -> LayerResult:
+        finish = start
+        for expert in active:
+            finish = timeline.enqueue(
+                "gpu", self._gpu_expert_time(counts[expert]), label="e"
+            ).end
         return LayerResult(
             scheme=Scheme.IDEAL,
-            seconds=max(finish, prologue.end),
+            seconds=max(finish, start),
             timeline=timeline,
-            n_active=int((counts > 0).sum()),
+            n_active=len(active),
         )
 
     def _gpu_pm(
         self,
-        counts: np.ndarray,
-        tokens: int,
+        timeline: Timeline,
+        start: float,
+        counts: list[int],
+        active: list[int],
         layer_id: int,
         cache: Optional[ExpertCache],
     ) -> LayerResult:
-        timeline = self._new_timeline()
-        prologue = self._prologue(timeline, counts, tokens)
-        active = np.flatnonzero(counts > 0)
         finish, pmove_bytes, hits, misses = self._schedule_gpu_workflow(
-            timeline, counts, active, layer_id, cache, start_after=prologue.end
+            timeline, counts, active, layer_id, cache, start_after=start
         )
         return LayerResult(
             scheme=Scheme.GPU_PM,
-            seconds=max(finish, prologue.end),
+            seconds=max(finish, start),
             timeline=timeline,
             pmove_bytes=pmove_bytes,
             n_active=len(active),
             cache_hits=hits,
             cache_misses=misses,
-            t_gwf=max(finish, prologue.end),
+            t_gwf=max(finish, start),
         )
 
-    def _md_am(self, counts: np.ndarray, tokens: int) -> LayerResult:
-        timeline = self._new_timeline()
-        prologue = self._prologue(timeline, counts, tokens)
-        active = np.flatnonzero(counts > 0)
+    def _md_am(
+        self, timeline: Timeline, start: float, counts: list[int], active: list[int]
+    ) -> LayerResult:
         finish, amove_bytes = self._schedule_monde_workflow(
-            timeline, counts, active, start_after=prologue.end
+            timeline, counts, active, start_after=start
         )
         return LayerResult(
             scheme=Scheme.MD_AM,
-            seconds=max(finish, prologue.end),
+            seconds=max(finish, start),
             timeline=timeline,
             amove_bytes=amove_bytes,
             n_active=len(active),
-            t_mdwf=max(finish, prologue.end),
+            t_mdwf=max(finish, start),
         )
 
     def _md_lb(
         self,
-        counts: np.ndarray,
-        tokens: int,
+        timeline: Timeline,
+        start: float,
+        counts: list[int],
+        active: list[int],
         layer_id: int,
         cache: Optional[ExpertCache],
-        alpha: float,
+        h: int,
     ) -> LayerResult:
-        timeline = self._new_timeline()
-        prologue = self._prologue(timeline, counts, tokens)
-        partition: Partition = self.balancer.partition(counts, alpha=alpha)
+        # The H most compute-intensive experts are hot, as in
+        # :meth:`LoadBalancer.partition`.
+        order = intensity_order(counts, active)
         gpu_finish, pmove_bytes, hits, misses = self._schedule_gpu_workflow(
-            timeline,
-            counts,
-            partition.hot_experts,
-            layer_id,
-            cache,
-            start_after=prologue.end,
+            timeline, counts, order[:h], layer_id, cache, start_after=start
         )
         monde_finish, amove_bytes = self._schedule_monde_workflow(
-            timeline, counts, partition.cold_experts, start_after=prologue.end
+            timeline, counts, order[h:], start_after=start
         )
-        finish = max(gpu_finish, monde_finish, prologue.end)
         return LayerResult(
             scheme=Scheme.MD_LB,
-            seconds=finish,
+            seconds=max(gpu_finish, monde_finish, start),
             timeline=timeline,
             pmove_bytes=pmove_bytes,
             amove_bytes=amove_bytes,
-            h=partition.h,
-            n_active=partition.n_active,
+            h=h,
+            n_active=len(active),
             cache_hits=hits,
             cache_misses=misses,
             t_gwf=gpu_finish,
             t_mdwf=monde_finish,
         )
 
-    def _cpu_am(self, counts: np.ndarray, tokens: int) -> LayerResult:
-        timeline = self._new_timeline()
-        prologue = self._prologue(timeline, counts, tokens)
-        active = np.flatnonzero(counts > 0)
-        if len(active) == 0:
-            return LayerResult(
-                scheme=Scheme.CPU_AM, seconds=prologue.end, timeline=timeline
-            )
+    def _cpu_am(
+        self,
+        timeline: Timeline,
+        start: float,
+        counts: list[int],
+        active: list[int],
+        routed: int,
+    ) -> LayerResult:
+        if not active:
+            return LayerResult(scheme=Scheme.CPU_AM, seconds=start, timeline=timeline)
         pcie = self.platform.pcie
-        in_bytes = self.amove.input_bytes(counts[active])
-        ain = timeline.enqueue(
-            "d2h", pcie.transfer_time(in_bytes), label="a", not_before=prologue.end
+        # Every routed token belongs to an active expert.
+        nbytes = self.amove.token_bytes(routed)
+        last = timeline.enqueue(
+            "d2h", pcie.transfer_time(nbytes), label="a", not_before=start
         )
-        prev: list[Segment] = [ain]
         for expert in active:
-            seg = timeline.enqueue(
-                "cpu", self._cpu_expert_time(int(counts[expert])), label="e", after=prev
+            last = timeline.enqueue(
+                "cpu", self._cpu_expert_time(counts[expert]), label="e", after=(last,)
             )
-            prev = [seg]
-        out_bytes = self.amove.output_bytes(counts[active])
         aout = timeline.enqueue(
-            "h2d", pcie.transfer_time(out_bytes), label="a", after=prev
+            "h2d", pcie.transfer_time(nbytes), label="a", after=(last,)
         )
         return LayerResult(
             scheme=Scheme.CPU_AM,
             seconds=aout.end,
             timeline=timeline,
-            amove_bytes=in_bytes + out_bytes,
+            amove_bytes=2 * nbytes,
             n_active=len(active),
         )

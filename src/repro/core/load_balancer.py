@@ -11,11 +11,17 @@ neighboring H candidates, as the paper's framework does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.core.analytical import AnalyticalModel
+
+
+def intensity_order(token_counts: Sequence[int], experts: Iterable[int]) -> list[int]:
+    """``experts`` by compute intensity: most routed tokens first, ties
+    by expert id for determinism (Section 3.3)."""
+    return sorted(experts, key=lambda e: (-token_counts[e], e))
 
 
 @dataclass(frozen=True)
@@ -45,9 +51,9 @@ class LoadBalancer:
         active = np.flatnonzero(counts > 0)
         a = self.alpha if alpha is None else alpha
         h = self.model.h_value(len(active), alpha=a)
-        # Sort activated experts by routed tokens, descending; ties by
-        # expert id for determinism.
-        order = active[np.lexsort((active, -counts[active]))]
+        order = np.asarray(
+            intensity_order(counts.tolist(), active.tolist()), dtype=np.intp
+        )
         return Partition(hot_experts=order[:h], cold_experts=order[h:], h=h)
 
 
@@ -128,10 +134,7 @@ def round_robin_by_intensity(
     by compute intensity (routed tokens), Section 3.3 multi-MoNDE."""
     if n_devices < 1:
         raise ValueError("n_devices must be >= 1")
-    counts = np.asarray(token_counts)
-    ids = np.asarray(expert_ids)
-    order = ids[np.lexsort((ids, -counts[ids]))]
-    assignment: list[list[int]] = [[] for _ in range(n_devices)]
-    for i, expert in enumerate(order):
-        assignment[i % n_devices].append(int(expert))
-    return [np.asarray(a, dtype=np.int64) for a in assignment]
+    order = intensity_order(
+        np.asarray(token_counts).tolist(), np.asarray(expert_ids).tolist()
+    )
+    return [np.asarray(order[dev::n_devices], dtype=np.int64) for dev in range(n_devices)]

@@ -44,11 +44,11 @@ def multi_gpu_layer_time(
     if counts.shape != (model.n_experts,):
         raise ValueError(f"counts must have shape ({model.n_experts},)")
     timeline = engine._new_timeline()
-    tokens = max(1, int(counts.sum()) // max(1, model.top_k))
-    prologue = engine._prologue(timeline, counts, tokens)
+    routed = int(counts.sum())
+    tokens = max(1, routed // max(1, model.top_k))
+    prologue = engine._prologue(timeline, routed, tokens)
 
     pcie = engine.platform.pcie
-    routed = int(counts.sum())
     # Fraction of routed tokens whose expert lives on a remote GPU.
     remote = (n_gpus - 1) / n_gpus if n_gpus > 1 else 0.0
     exchange_bytes = int(routed * model.d_model * model.dtype_bytes * remote)

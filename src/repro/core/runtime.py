@@ -144,14 +144,34 @@ class MoNDERuntime:
         misses when it thrashes (encoder regime).  A cached hot expert
         makes the GPU workflow nearly free, which pulls decoder-side H
         up to "everything recurring on the GPU, stragglers on the NDP".
+
+        The evaluator memoizes ``.seconds`` by (view version, layer id,
+        counts, H).  A view's answers change only when its version does,
+        and an ``MD_LB`` layer reads alpha only through H (see
+        :class:`~repro.core.engine.MoELayerEngine`), so within one
+        retune the candidate alphas that resolve to one H cost one
+        evaluation, and the tuner sums the very floats a fresh
+        evaluation would give, in the same order.
         """
         view = SteadyStateCacheView(cache.capacity_slots)
+        h_value = self.engine.balancer.model.h_value
+        seconds: dict[tuple, float] = {}
+        version = view.version
 
         def evaluate(counts: np.ndarray, alpha: float, context: object) -> float:
+            nonlocal version
+            if view.version != version:
+                seconds.clear()
+                version = view.version
             layer_id = int(context) if context is not None else 0
-            return self.engine.layer_time(
-                Scheme.MD_LB, counts, layer_id=layer_id, cache=view, alpha=alpha
-            ).seconds
+            counts = np.asarray(counts)
+            h = h_value(int(np.count_nonzero(counts)), alpha=alpha)
+            key = (layer_id, counts.dtype.str, counts.tobytes(), h)
+            if key not in seconds:
+                seconds[key] = self.engine.layer_time(
+                    Scheme.MD_LB, counts, layer_id=layer_id, cache=view, alpha=alpha
+                ).seconds
+            return seconds[key]
 
         return AlphaAutoTuner(evaluate=evaluate, alpha=self.config.alpha), view
 
@@ -224,17 +244,14 @@ class MoNDERuntime:
         dense = 0.0
         moe = 0.0
         layers: list[LayerResult] = []
+        moe_blocks = [i for i in range(model.n_decoder_layers) if model.is_moe_block(i)]
         for step in range(self.config.decode_steps):
             dense += step_dense
-            rank = 0
-            for i in range(model.n_decoder_layers):
-                if not model.is_moe_block(i):
-                    continue
+            for rank, i in enumerate(moe_blocks):
                 counts = self.trace.decoder_step_counts(rank, step)
                 result = self._moe_layer(scheme, counts, i, cache, tuner, step_tokens)
                 layers.append(result)
                 moe += result.seconds
-                rank += 1
         total_tokens = step_tokens * self.config.decode_steps
         result = self._finalize(
             scheme, "decoder", dense, moe, total_tokens, layers, cache, tuner

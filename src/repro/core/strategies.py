@@ -85,7 +85,10 @@ class AMoveStrategy:
         return 2 * routed * self.d_model * self.dtype_bytes
 
     def input_bytes(self, token_counts: np.ndarray) -> int:
-        routed = int(np.asarray(token_counts).sum())
+        return self.token_bytes(int(np.asarray(token_counts).sum()))
+
+    def token_bytes(self, routed: int) -> int:
+        """Activation bytes of ``routed`` routing events, one way."""
         return routed * self.d_model * self.dtype_bytes
 
     def output_bytes(self, token_counts: np.ndarray) -> int:

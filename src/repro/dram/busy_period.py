@@ -150,12 +150,12 @@ def key_prefix(spec):
 
 
 def segment_key(prefix, content, lo: int, hi: int, open_rows) -> bytes:
-    """Key of the segment ``lo:hi``: spec, length, content columns
-    (flat bank, row, column, write bit) and the channel's open rows."""
+    """Key of the segment ``lo:hi``: spec, length, content (the drain's
+    int64 column packing flat bank, row, column and write bit, one
+    value per request) and the channel's open rows."""
     digest = prefix.copy()
     digest.update((hi - lo).to_bytes(8, "little"))
-    for column in content:
-        digest.update(column[lo:hi])
+    digest.update(content[lo:hi])
     digest.update(repr(open_rows).encode())
     return digest.digest()
 
@@ -179,11 +179,10 @@ def store(memo, key, a0, lo, hi, regs, hist, banks, columns, stats, stats0) -> N
     ``a0`` and just retired its last request.  ``regs`` are the
     channel registers (cb, dnext, lcc, lbg, law, raw, lact), ``banks``
     the per-bank lists (open row, eact, epre, ecol, row hits, row hits
-    at ``a0``), ``columns`` the drain's (bf, iswr) input lists and its
-    (o_first, o_complete, o_hit) output buffers (``array('q')``,
-    ``array('q')``, ``array('b')``, read here as numpy views) and
-    ``stats0`` the counters at ``a0``.  Skipped when a value does not
-    fit int32."""
+    at ``a0``), ``columns`` the drain's (bf, iswr) input lists and the
+    int64/int64/int8 numpy views of its (o_first, o_complete, o_hit)
+    output buffers, and ``stats0`` the counters at ``a0``.  Skipped
+    when a value does not fit int32."""
     cb, dnext, lcc, lbg, law, raw, lact = regs
     b_open, b_eact, b_epre, b_ecol, b_hits, hits0 = banks
     bf, iswr, o_first, o_complete, o_hit = columns
@@ -193,9 +192,10 @@ def store(memo, key, a0, lo, hi, regs, hist, banks, columns, stats, stats0) -> N
     def moved(cycle):
         return cycle - a0 if cycle > a0 else 0
 
+    complete = o_complete[lo:hi]
     head = [
         cb - a0,
-        max(o_complete[lo:hi]) - a0,
+        int(complete.max()) - a0,
         dnext - a0,
         lcc - a0,
         lbg,
@@ -220,9 +220,9 @@ def store(memo, key, a0, lo, hi, regs, hist, banks, columns, stats, stats0) -> N
             moved(b_ecol[b]),
             b_hits[b] - hits0[b],
         )
-    first = np.frombuffer(o_first, dtype=np.int64)[lo:hi] - a0
-    done = (np.frombuffer(o_complete, dtype=np.int64)[lo:hi] - a0) << 1
-    done |= np.frombuffer(o_hit, dtype=np.int8)[lo:hi]
+    first = o_first[lo:hi] - a0
+    done = (complete - a0) << 1
+    done |= o_hit[lo:hi]
     entry = np.concatenate((np.array(head, dtype=np.int64), first, done))
     if entry.max() > _INT32_MAX:
         return
@@ -232,9 +232,9 @@ def store(memo, key, a0, lo, hi, regs, hist, banks, columns, stats, stats0) -> N
 
 def apply(entry, a0, lo, hi, regs, hist, banks, outputs, stats) -> tuple:
     """Write the stored outcome ``entry`` for the segment ``lo:hi``
-    arriving at ``a0``: per-request outputs into the ``outputs``
-    buffers (o_first, o_complete, o_hit: ``array('q')``,
-    ``array('q')``, ``array('b')``), one numpy slice each, bank state
+    arriving at ``a0``: per-request outputs into ``outputs``, the
+    int64/int64/int8 numpy views of the drain's (o_first, o_complete,
+    o_hit) buffers, one slice each, bank state
     into ``banks`` (open row, eact, epre, ecol, row hits), ACTs into
     ``hist`` and counters into ``stats``.  Returns the channel
     registers ``regs`` (cb, dnext, lcc, lbg, law, raw, lact) after the
@@ -245,13 +245,9 @@ def apply(entry, a0, lo, hi, regs, hist, banks, outputs, stats) -> tuple:
     k = hi - lo
     done = entry[-k:]
     # The entry is int32 and a0 an absolute cycle: widen before adding.
-    np.frombuffer(o_first, dtype=np.int64)[lo:hi] = np.add(
-        entry[-2 * k : -k], a0, dtype=np.int64
-    )
-    np.frombuffer(o_complete, dtype=np.int64)[lo:hi] = np.add(
-        done >> 1, a0, dtype=np.int64
-    )
-    np.frombuffer(o_hit, dtype=np.int8)[lo:hi] = done & 1
+    np.add(entry[-2 * k : -k], a0, out=o_first[lo:hi], dtype=np.int64)
+    np.add(done >> 1, a0, out=o_complete[lo:hi], dtype=np.int64)
+    np.bitwise_and(done, 1, out=o_hit[lo:hi], casting="unsafe")
     (
         cb_at, done_at, dbus_at, col_at, lbg, law, raw_at, act_at,
         pc, ac, rc, rm, rh, n_tail, *rest,

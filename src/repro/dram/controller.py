@@ -103,6 +103,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 logger = logging.getLogger(__name__)
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 class SchedulerPolicy(enum.Enum):
     FR_FCFS = "fr-fcfs"
@@ -208,6 +210,14 @@ class MemoryController:
     ) -> None:
         if window < 1:
             raise ValueError("scheduler window must be >= 1")
+        org = config.organization
+        if org.n_banks * org.n_rows * org.columns_per_row * 2 > _INT64_MAX + 1:
+            # The busy-period memo packs (flat bank, row, column, write
+            # bit) into one int64 per request.
+            raise ValueError(
+                "DRAM geometry too large: n_banks * n_rows * columns_per_row "
+                "* 2 must fit in int64"
+            )
         self.config = config
         self.mapper = AddressMapper(config.organization, scheme)
         self.policy = policy
@@ -713,9 +723,24 @@ class MemoryController:
         o_first = array("q", [-1]) * k
         o_complete = array("q", bytes(8 * k))
         o_hit = array("b", [-1]) * k
-        gen = self._drain_channel_gen(
-            channel, stats, memo=memo, content=(bf, row, col, iswr)
+        views = (
+            np.frombuffer(o_first, dtype=np.int64),
+            np.frombuffer(o_complete, dtype=np.int64),
+            np.frombuffer(o_hit, dtype=np.int8),
         )
+        content = None
+        if memo is not None:
+            # The memo's key column: (flat bank, row, column, write
+            # bit) packed into one int64 per request, which the
+            # construction-time geometry check keeps injective.
+            org = self.config.organization
+            packed = bf.astype(np.int64) * org.n_rows + row
+            packed *= org.columns_per_row
+            packed += col
+            packed <<= 1
+            packed |= iswr
+            content = (packed, views)
+        gen = self._drain_channel_gen(channel, stats, memo=memo, content=content)
         next(gen)
         columns = (bf.tolist(), row.tolist(), col.tolist(), iswr.tolist(), arr.tolist())
         try:
@@ -724,13 +749,7 @@ class MemoryController:
             last, idle = stop.value
         else:  # pragma: no cover - defensive
             raise AssertionError("channel drain did not complete on a final feed")
-        return (
-            last,
-            idle,
-            np.frombuffer(o_first, dtype=np.int64),
-            np.frombuffer(o_complete, dtype=np.int64),
-            np.frombuffer(o_hit, dtype=np.int8),
-        )
+        return (last, idle, *views)
 
     def _drain_channel_gen(
         self,
@@ -822,9 +841,11 @@ class MemoryController:
         Streaming feeds pass lists, which compaction rebuilds.
 
         ``memo``/``content`` (see :meth:`_drain_channel`) are for
-        single-feed use only: the memo indexes ``content`` by request
-        position, which compaction would renumber.  Ignored while the
-        channel records commands.
+        single-feed use only: ``content`` is the memo's packed int64
+        key column and the int64/int64/int8 numpy views of the fed
+        ``o_*`` buffers, both indexed by request position, which
+        compaction would renumber.  Ignored while the channel records
+        commands.
         """
         t = channel.timing
         org = self.config.organization
@@ -888,6 +909,7 @@ class MemoryController:
             if not busy.usable(t):
                 memo = None
             key_prefix = busy.key_prefix(self.spec)
+            key_column, out_views = content
         rec_left = 0  # requests of the segment being recorded still queued
 
         # Window bookkeeping: per-bank FIFO of in-window request seqs,
@@ -1040,7 +1062,7 @@ class MemoryController:
                     t, nxt, cb, dnext, lcc, raw, lact, hist, b_eact, b_epre, b_ecol
                 ):
                     end = bisect.bisect_right(arr, nxt, pos)
-                    key = busy.segment_key(key_prefix, content, pos, end, b_open)
+                    key = busy.segment_key(key_prefix, key_column, pos, end, b_open)
                     entry = busy.lookup(memo, key, nxt, arr[end] if end < n else None)
                     if entry is not None:
                         # No later arrival can compete with the segment:
@@ -1049,7 +1071,7 @@ class MemoryController:
                             entry, nxt, pos, end,
                             (cb, dnext, lcc, lbg, law, raw, lact), hist,
                             (b_open, b_eact, b_epre, b_ecol, b_hits),
-                            (o_first, o_complete, o_hit), stats,
+                            out_views, stats,
                         )
                         cb, dnext, lcc, lbg, law, raw, lact = regs
                         if done > last_complete:
@@ -1405,7 +1427,7 @@ class MemoryController:
                             memo, rec_key, rec_a0, rec_lo, rec_end,
                             (cb, dnext, lcc, lbg, law, raw, lact), hist,
                             (b_open, b_eact, b_epre, b_ecol, b_hits, rec_hits),
-                            (bf, iswr, o_first, o_complete, o_hit),
+                            (bf, iswr, *out_views),
                             stats, rec_stats,
                         )
 

@@ -15,12 +15,14 @@ asserted on in tests, and rendered as an ASCII Gantt chart
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class Segment:
-    """One contiguous piece of work placed on a stream."""
+class Segment(NamedTuple):
+    """One contiguous piece of work placed on a stream.
+
+    An immutable named tuple: every enqueue builds one, and a tuple is
+    the cheapest immutable record to build."""
 
     stream: str
     label: str
@@ -59,9 +61,12 @@ class Stream:
         """
         if duration < 0:
             raise ValueError(f"duration must be non-negative, got {duration}")
-        start = max(self.available_at, not_before)
-        segment = Segment(stream=self.name, label=label, start=start, end=start + duration)
-        self.available_at = segment.end
+        start = self.available_at
+        if not_before > start:
+            start = not_before
+        end = start + duration
+        segment = Segment(self.name, label, start, end)
+        self.available_at = end
         self.busy_time += duration
         self.segments.append(segment)
         return segment
@@ -115,8 +120,12 @@ class Timeline:
         """
         gate = not_before
         for dep in after:
-            gate = max(gate, dep.end)
-        return self.stream(stream).enqueue(duration, label=label, not_before=gate)
+            if dep.end > gate:
+                gate = dep.end
+        target = self._streams.get(stream)
+        if target is None:
+            target = self.add_stream(stream)
+        return target.enqueue(duration, label, gate)
 
     def makespan(self) -> float:
         """Completion time of the last segment across all streams."""

@@ -491,3 +491,20 @@ def test_drain_executor_bypasses_the_memo():
         stats, timings = controller.simulate_arrays(*stream, detail=True, memo=memo)
     assert (memo.hits, memo.misses, memo.stores) == (0, 0, 0)
     _assert_same((controller, stats, timings), reference)
+
+
+def test_key_packing_geometry_checked_at_construction():
+    """The memo key packs (flat bank, row, column, write bit) into one
+    int64 per request; a geometry where that could overflow is refused
+    when the controller is built, and the largest one that fits is not."""
+    org = _SMALL.organization
+    fits = (1 << 62) // (org.n_banks * org.columns_per_row)
+    big = dataclasses.replace(
+        _SMALL, organization=dataclasses.replace(org, n_rows=fits)
+    )
+    MemoryController(big)
+    too_big = dataclasses.replace(
+        _SMALL, organization=dataclasses.replace(org, n_rows=fits + 1)
+    )
+    with pytest.raises(ValueError, match="int64"):
+        MemoryController(too_big)

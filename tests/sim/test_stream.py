@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sim.stream import Stream, Timeline, WorkItem
+from repro.sim.stream import Segment, Stream, Timeline, WorkItem
+from repro.sim.trace import render_gantt
 
 
 def test_stream_serializes_work():
@@ -112,3 +113,32 @@ def test_segments_on_one_stream_never_overlap(durations):
     segs = s.segments
     for a, b in zip(segs, segs[1:]):
         assert a.end <= b.start
+
+
+def test_segment_record():
+    seg = Segment("gpu", "e", 1.0, 3.5)
+    assert (seg.stream, seg.label, seg.start, seg.end) == ("gpu", "e", 1.0, 3.5)
+    assert seg.duration == 2.5
+    assert seg == Segment(stream="gpu", label="e", start=1.0, end=3.5)
+    assert seg != Segment("gpu", "e", 1.0, 3.0)
+    assert hash(seg) == hash(Segment("gpu", "e", 1.0, 3.5))
+    assert seg.overlaps(Segment("h2d", "p", 3.0, 4.0))
+    assert not seg.overlaps(Segment("h2d", "p", 3.5, 4.0))  # open intervals
+    with pytest.raises(AttributeError):
+        seg.end = 9.0
+
+
+def test_enqueue_places_segments_and_gantt_is_unchanged():
+    t = Timeline(["gpu", "h2d", "monde"])
+    g = t.enqueue("gpu", 2.0, label="g")
+    p = t.enqueue("h2d", 3.0, label="p", not_before=g.end)
+    e = t.enqueue("gpu", 1.0, label="e", after=[p])
+    t.enqueue("monde", 4.0, label="e", not_before=g.end)
+    assert e == Segment("gpu", "e", 5.0, 6.0)
+    assert t.stream("gpu").segments == [Segment("gpu", "g", 0.0, 2.0), e]
+    assert render_gantt(t, width=24) == (
+        "gpu   |ggggggggg          eeeee|\n"
+        "h2d   |        pppppppppppp    |\n"
+        "monde |        eeeeeeeeeeeeeeee|\n"
+        "       0              6.000e+00s"
+    )
