@@ -32,13 +32,15 @@ original windowed-list form it is kept bit-identical to):
   the row the newcomer hits.  Any other column retirement advances the
   candidate to the row's next hit in place, and any other admission
   leaves it alone (an issued command dirties at most its own bank);
-- ACT and PRE candidates live in lazily invalidated heaps; while none
-  is filed, the arbitration is a scan over the column candidates
-  alone;
-- channel/bank timing state is mirrored into local integers for the
-  duration of a drain, so the issue arbitration is a tight loop over
-  at most ``n_banks`` cached candidates with no attribute access or
-  method calls, then written back.
+- ACT and PRE candidates live in lazily invalidated per-class heaps;
+  the column candidates are scanned first, and a class's floor,
+  migration and winner are computed only while its heaps hold an
+  entry that could beat their winner, so most arbitrations are that
+  scan alone;
+- channel/bank timing state and the command counters are mirrored
+  into locals for the duration of a drain, so the issue arbitration
+  is a tight loop over at most ``n_banks`` cached candidates with no
+  attribute access or method calls, then written back.
 
 Address decoding is vectorized over the whole trace with
 :meth:`~repro.dram.address.AddressMapper.decode_batch`.
@@ -193,6 +195,24 @@ class ControllerSpec:
 
 # Candidate command codes used by the indexed scheduler.
 _ACT, _PRE, _COL = 0, 1, 2
+
+
+def _act_ready(t, lact: int, hist) -> int:
+    """Earliest cycle a channel's tRRD and tFAW horizons allow an ACT,
+    from its last ACT cycle and its tFAW history deque."""
+    ready = lact + t.tRRD
+    if len(hist) == hist.maxlen and hist[0] + t.tFAW > ready:
+        ready = hist[0] + t.tFAW
+    return ready
+
+
+def _add_counts(stats: ControllerStats, pre, act, conf, miss, hit) -> None:
+    """Flush a drain's local command and row-class counts into ``stats``."""
+    stats.precharges += pre
+    stats.activates += act
+    stats.row_conflicts += conf
+    stats.row_misses += miss
+    stats.row_hits += hit
 
 
 class MemoryController:
@@ -804,13 +824,26 @@ class MemoryController:
           bank-ready cycle (``b_ecol``) is unchanged by a column
           command, and no heap entry carries the bank's current
           version.
-        - *Empty heaps*: with no entry in ``act_L``, ``act_H``,
-          ``pre_L`` or ``pre_H`` there is no ACT/PRE candidate, so
-          heap compaction, the ACT floor, migration and heap-top
-          selection are skipped.  ``g_act_est`` then lags the floor
-          but stays a lower bound of it (the floor is monotone), so
-          entries filed high against it migrate before the next
-          selection.
+        - *Per-class heaps*: with no entry in ``act_L`` or ``act_H``
+          there is no ACT candidate, so the ACT floor, migration and
+          heap-top selection are skipped; likewise the PRE migration
+          and selection with ``pre_L`` and ``pre_H`` empty.  Column
+          candidates are scanned first, and a class is skipped too
+          when its below-floor heap is empty and its above-floor top
+          is later than their winner: no entry is ready before its
+          filed cycle, and an ACT or PRE beats a column command only
+          when ready at or before it.  ``g_act_est`` then lags the
+          floor but stays a lower bound of it (the floor is
+          monotone), so entries filed high against it migrate before
+          the next selection.  Heaps grow only in the candidate
+          refresh, so they are compacted only there.
+
+        Per-command bookkeeping stays in locals: the precharge,
+        activate and row-class counters are flushed into ``stats``
+        only before the memo reads or adds to them and at exit, and
+        ``act_ready`` (the tRRD/tFAW part of the ACT floor) is
+        recomputed only after an ACT issues or a memo hit applies, the
+        only writes to the last-ACT cycle and the tFAW history.
 
         Broken bookkeeping raises instead of spinning: the FR-FCFS
         arbitration raises when it finds no candidate with requests in
@@ -850,8 +883,8 @@ class MemoryController:
         t = channel.timing
         org = self.config.organization
         n_banks = len(channel.banks)
-        fcfs = self.policy is SchedulerPolicy.FCFS
-        cap = self.starvation_cap
+        # FCFS takes the head path at every decision.
+        cap = 0 if self.policy is SchedulerPolicy.FCFS else self.starvation_cap
 
         # Request buffers -- adopted from the first feed (so the
         # single-feed wrapper mutates its caller's lists in place),
@@ -871,7 +904,7 @@ class MemoryController:
         # Timing locals.
         tRCD, tRP, tRAS, tRC = t.tRCD, t.tRP, t.tRAS, t.tRC
         tCL, tCWL, tWR, tWTR = t.tCL, t.tCWL, t.tWR, t.tWTR
-        tCCD_S, tCCD_L, tRRD, tFAW = t.tCCD_S, t.tCCD_L, t.tRRD, t.tFAW
+        tCCD_S, tCCD_L = t.tCCD_S, t.tCCD_L
         burst = t.burst_cycles
 
         # Mirror channel state into locals (written back on exit).
@@ -883,7 +916,9 @@ class MemoryController:
         raw = channel._read_after_write_ok
         lact = channel._last_act_cycle
         hist = channel._act_history  # shared deque, mutated in place
-        hist_full = hist.maxlen
+        # The tRRD/tFAW part of the ACT floor moves only when an ACT
+        # issues or a memo hit applies one (see the docstring).
+        act_ready = _act_ready(t, lact, hist)
         recording = channel.record_commands
         commands = channel.commands
 
@@ -911,6 +946,10 @@ class MemoryController:
             key_prefix = busy.key_prefix(self.spec)
             key_column, out_views = content
         rec_left = 0  # requests of the segment being recorded still queued
+
+        # Command and row-class counts since the last flush into
+        # ``stats`` (see the docstring's counter rule).
+        n_pre = n_act = n_conf = n_miss = n_hit = 0
 
         # Window bookkeeping: per-bank FIFO of in-window request seqs,
         # per-(bank, row) FIFO for row-hit heads, cached candidates.
@@ -960,7 +999,7 @@ class MemoryController:
             # The newcomer is the youngest request, so it can only
             # change its bank's candidate if the bank had none or if
             # it hits the open row of a bank waiting to precharge.
-            while pos < n and in_window < window_cap and arr[pos] <= cb:
+            while in_window < window_cap and pos < n and arr[pos] <= cb:
                 b = bf[pos]
                 r = row[pos]
                 q = bank_q[b]
@@ -1061,6 +1100,10 @@ class MemoryController:
                 if memo is not None and busy.horizons_expired(
                     t, nxt, cb, dnext, lcc, raw, lact, hist, b_eact, b_epre, b_ecol
                 ):
+                    # ``apply`` adds to the counters and the recording
+                    # below snapshots them.
+                    _add_counts(stats, n_pre, n_act, n_conf, n_miss, n_hit)
+                    n_pre = n_act = n_conf = n_miss = n_hit = 0
                     end = bisect.bisect_right(arr, nxt, pos)
                     key = busy.segment_key(key_prefix, key_column, pos, end, b_open)
                     entry = busy.lookup(memo, key, nxt, arr[end] if end < n else None)
@@ -1074,6 +1117,7 @@ class MemoryController:
                             out_views, stats,
                         )
                         cb, dnext, lcc, lbg, law, raw, lact = regs
+                        act_ready = _act_ready(t, lact, hist)
                         if done > last_complete:
                             last_complete = done
                         alive[pos:end] = [False] * (end - pos)
@@ -1096,50 +1140,47 @@ class MemoryController:
 
             # Refresh cached candidates for banks whose queues or row
             # state changed since the last issue.
-            for b in dirty:
-                if b not in active:
-                    continue
-                q = bank_q[b]
-                while q and not alive[q[0]]:
-                    q.popleft()
-                bank_ver[b] += 1
-                if not q:
-                    active.discard(b)
-                    col_set.discard(b)
-                    continue
-                orow = b_open[b]
-                if orow is None:
-                    cand_cmd[b] = _ACT
-                    s = cand_seq[b] = q[0]
-                    p = cand_part[b] = b_eact[b]
-                    col_set.discard(b)
-                    if p <= g_act_est:
-                        heappush(act_L, (s, b, bank_ver[b]))
-                    else:
-                        heappush(act_H, (p, s, b, bank_ver[b]))
-                else:
-                    rd = bank_rows[b].get(orow)
-                    if rd:
-                        cand_cmd[b] = _COL
-                        cand_seq[b] = rd[0]
-                        cand_part[b] = b_ecol[b]
-                        col_set.add(b)
-                    else:
-                        cand_cmd[b] = _PRE
-                        s = cand_seq[b] = q[0]
-                        p = cand_part[b] = b_epre[b]
+            if dirty:
+                for b in dirty:
+                    if b not in active:
+                        continue
+                    q = bank_q[b]
+                    while q and not alive[q[0]]:
+                        q.popleft()
+                    bank_ver[b] += 1
+                    if not q:
+                        active.discard(b)
                         col_set.discard(b)
-                        if p <= cb:
-                            heappush(pre_L, (s, b, bank_ver[b]))
+                        continue
+                    orow = b_open[b]
+                    if orow is None:
+                        cand_cmd[b] = _ACT
+                        s = cand_seq[b] = q[0]
+                        p = cand_part[b] = b_eact[b]
+                        col_set.discard(b)
+                        if p <= g_act_est:
+                            heappush(act_L, (s, b, bank_ver[b]))
                         else:
-                            heappush(pre_H, (p, s, b, bank_ver[b]))
-            del dirty[:]
-
-            # With no ACT/PRE entry filed there is nothing to compact,
-            # migrate or select among; column candidates decide alone.
-            heaps = act_L or act_H or pre_L or pre_H
-            if heaps:
-                # Compact lazily-invalidated heaps before they bloat.
+                            heappush(act_H, (p, s, b, bank_ver[b]))
+                    else:
+                        rd = bank_rows[b].get(orow)
+                        if rd:
+                            cand_cmd[b] = _COL
+                            cand_seq[b] = rd[0]
+                            cand_part[b] = b_ecol[b]
+                            col_set.add(b)
+                        else:
+                            cand_cmd[b] = _PRE
+                            s = cand_seq[b] = q[0]
+                            p = cand_part[b] = b_epre[b]
+                            col_set.discard(b)
+                            if p <= cb:
+                                heappush(pre_L, (s, b, bank_ver[b]))
+                            else:
+                                heappush(pre_H, (p, s, b, bank_ver[b]))
+                del dirty[:]
+                # Heaps grow only here: compact lazily-invalidated ones
+                # before they bloat.
                 if len(act_L) + len(act_H) > heap_cap:
                     act_L = [
                         (cand_seq[b2], b2, bank_ver[b2])
@@ -1167,7 +1208,7 @@ class MemoryController:
                     heapify_(pre_L)
                     heapify_(pre_H)
 
-            if fcfs or head_skips >= cap:
+            if head_skips >= cap:
                 # Narrowed window: schedule the head request alone.
                 while not alive[head]:
                     head += 1
@@ -1187,88 +1228,20 @@ class MemoryController:
                     cycle = max(b_ecol[b], cb, g)
                 elif orow is None:
                     cmd = _ACT
-                    cycle = max(b_eact[b], cb, lact + tRRD)
-                    if len(hist) == hist_full:
-                        x = hist[0] + tFAW
-                        if x > cycle:
-                            cycle = x
+                    cycle = max(b_eact[b], cb, act_ready)
                 else:
                     cmd = _PRE
                     cycle = max(b_epre[b], cb)
             else:
+                # The winner has the smallest ready cycle; ties go to
+                # ACT/PRE over column commands, then to the oldest
+                # request.  Column candidates are scanned first (usually
+                # few): a class with no entry at or below its floor and
+                # its above-floor top later than their winner cannot win.
                 best_ready = -1
                 best_seq = 0
                 b = -1
-                cmd = _ACT
-                if heaps:
-                    # ACT-class ready floor (monotone; see structures above).
-                    g_act = lact + tRRD
-                    if cb > g_act:
-                        g_act = cb
-                    if len(hist) == hist_full:
-                        x = hist[0] + tFAW
-                        if x > g_act:
-                            g_act = x
-                    g_act_est = g_act
-
-                    # Migrate entries that dropped to/below their floor.
-                    while act_H and act_H[0][0] <= g_act:
-                        _, s, b2, v = heappop(act_H)
-                        if bank_ver[b2] == v:
-                            heappush(act_L, (s, b2, v))
-                    while pre_H and pre_H[0][0] <= cb:
-                        _, s, b2, v = heappop(pre_H)
-                        if bank_ver[b2] == v:
-                            heappush(pre_L, (s, b2, v))
-
-                    # ACT winner: everything in L is ready at the floor, so
-                    # the oldest wins; otherwise the smallest bank-ready.
-                    while act_L and bank_ver[act_L[0][1]] != act_L[0][2]:
-                        heappop(act_L)
-                    if act_L:
-                        top = act_L[0]
-                        best_ready = g_act
-                        best_seq = top[0]
-                        b = top[1]
-                    else:
-                        while act_H and bank_ver[act_H[0][2]] != act_H[0][3]:
-                            heappop(act_H)
-                        if act_H:
-                            top = act_H[0]
-                            best_ready = top[0]
-                            best_seq = top[1]
-                            b = top[2]
-
-                    # PRE winner (same class shape; floor is the command bus).
-                    while pre_L and bank_ver[pre_L[0][1]] != pre_L[0][2]:
-                        heappop(pre_L)
-                    if pre_L:
-                        top = pre_L[0]
-                        p = cb
-                        s = top[0]
-                        b2 = top[1]
-                    else:
-                        while pre_H and bank_ver[pre_H[0][2]] != pre_H[0][3]:
-                            heappop(pre_H)
-                        if pre_H:
-                            top = pre_H[0]
-                            p = top[0]
-                            s = top[1]
-                            b2 = top[2]
-                        else:
-                            p = -1
-                    if p >= 0 and (
-                        best_ready < 0
-                        or p < best_ready
-                        or (p == best_ready and s < best_seq)
-                    ):
-                        best_ready = p
-                        best_seq = s
-                        b = b2
-                        cmd = _PRE
-
-                # Column candidates: scanned directly (usually few);
-                # they lose ready-cycle ties to ACT/PRE by design.
+                cmd = _COL
                 if col_set:
                     g_col_r = dnext - tCL
                     if law:
@@ -1294,12 +1267,80 @@ class MemoryController:
                         if (
                             best_ready < 0
                             or p < best_ready
-                            or (p == best_ready and cmd == _COL and s < best_seq)
+                            or (p == best_ready and s < best_seq)
                         ):
                             best_ready = p
                             best_seq = s
                             b = b2
-                            cmd = _COL
+
+                if act_L or (act_H and (best_ready < 0 or act_H[0][0] <= best_ready)):
+                    # ACT-class ready floor (monotone; see structures above).
+                    g_act = act_ready if act_ready > cb else cb
+                    g_act_est = g_act
+
+                    # Migrate entries that dropped to/below their floor.
+                    while act_H and act_H[0][0] <= g_act:
+                        _, s, b2, v = heappop(act_H)
+                        if bank_ver[b2] == v:
+                            heappush(act_L, (s, b2, v))
+
+                    # ACT winner: everything in L is ready at the floor, so
+                    # the oldest wins; otherwise the smallest bank-ready.
+                    while act_L and bank_ver[act_L[0][1]] != act_L[0][2]:
+                        heappop(act_L)
+                    if act_L:
+                        top = act_L[0]
+                        p = g_act
+                        s = top[0]
+                        b2 = top[1]
+                    else:
+                        while act_H and bank_ver[act_H[0][2]] != act_H[0][3]:
+                            heappop(act_H)
+                        if act_H:
+                            top = act_H[0]
+                            p = top[0]
+                            s = top[1]
+                            b2 = top[2]
+                        else:
+                            p = -1
+                    if p >= 0 and (best_ready < 0 or p <= best_ready):
+                        best_ready = p
+                        best_seq = s
+                        b = b2
+                        cmd = _ACT
+
+                if pre_L or (pre_H and (best_ready < 0 or pre_H[0][0] <= best_ready)):
+                    # PRE class: same shape, the floor is the command bus.
+                    while pre_H and pre_H[0][0] <= cb:
+                        _, s, b2, v = heappop(pre_H)
+                        if bank_ver[b2] == v:
+                            heappush(pre_L, (s, b2, v))
+                    while pre_L and bank_ver[pre_L[0][1]] != pre_L[0][2]:
+                        heappop(pre_L)
+                    if pre_L:
+                        top = pre_L[0]
+                        p = cb
+                        s = top[0]
+                        b2 = top[1]
+                    else:
+                        while pre_H and bank_ver[pre_H[0][2]] != pre_H[0][3]:
+                            heappop(pre_H)
+                        if pre_H:
+                            top = pre_H[0]
+                            p = top[0]
+                            s = top[1]
+                            b2 = top[2]
+                        else:
+                            p = -1
+                    if p >= 0 and (
+                        best_ready < 0
+                        or p < best_ready
+                        or (p == best_ready and (cmd == _COL or s < best_seq))
+                    ):
+                        best_ready = p
+                        best_seq = s
+                        b = b2
+                        cmd = _PRE
                 if b < 0:
                     # Every bank in the window has a candidate filed in
                     # a heap or the column set; none means the
@@ -1315,23 +1356,24 @@ class MemoryController:
             # command would issue and the window has room, advance
             # channel time to the arrival and re-derive the decision so
             # the newcomer competes for the slot.
-            if pos < n and in_window < window_cap and arr[pos] <= cycle:
+            if in_window < window_cap and pos < n and arr[pos] <= cycle:
                 cb = arr[pos]
                 continue
 
             # -- issue the chosen command (mirrors Channel.issue_*) ----
-            if o_first[s] < 0:
-                o_first[s] = cycle
+            # ``o_first`` and ``o_hit`` are set together on a request's
+            # first command; the int8 buffer is the cheaper one to test.
             if cmd == _PRE:
                 b_open[b] = None
                 x = cycle + tRP
                 if x > b_eact[b]:
                     b_eact[b] = x
                 cb = cycle + 1
-                stats.precharges += 1
+                n_pre += 1
                 if o_hit[s] < 0:
+                    o_first[s] = cycle
                     o_hit[s] = 0
-                    stats.row_conflicts += 1
+                    n_conf += 1
                 if recording:
                     commands.append(
                         Command(cycle, CommandKind.PRECHARGE, channel.index, b)
@@ -1346,10 +1388,12 @@ class MemoryController:
                 cb = cycle + 1
                 hist.append(cycle)
                 lact = cycle
-                stats.activates += 1
+                act_ready = _act_ready(t, lact, hist)
+                n_act += 1
                 if o_hit[s] < 0:
+                    o_first[s] = cycle
                     o_hit[s] = 0
-                    stats.row_misses += 1
+                    n_miss += 1
                 if recording:
                     commands.append(
                         Command(cycle, CommandKind.ACTIVATE, channel.index, b, row=r)
@@ -1377,8 +1421,9 @@ class MemoryController:
                 lcc = cycle
                 lbg = bg_of[b]
                 if o_hit[s] < 0:
+                    o_first[s] = cycle
                     o_hit[s] = 1
-                    stats.row_hits += 1
+                    n_hit += 1
                 o_complete[s] = done
                 if done > last_complete:
                     last_complete = done
@@ -1423,6 +1468,8 @@ class MemoryController:
                 if rec_left and s < rec_end:
                     rec_left -= 1
                     if not rec_left and pos == rec_end:
+                        _add_counts(stats, n_pre, n_act, n_conf, n_miss, n_hit)
+                        n_pre = n_act = n_conf = n_miss = n_hit = 0
                         busy.store(
                             memo, rec_key, rec_a0, rec_lo, rec_end,
                             (cb, dnext, lcc, lbg, law, raw, lact), hist,
@@ -1430,6 +1477,8 @@ class MemoryController:
                             (bf, iswr, *out_views),
                             stats, rec_stats,
                         )
+
+        _add_counts(stats, n_pre, n_act, n_conf, n_miss, n_hit)
 
         # Scatter queue delays for requests retired since the last
         # compaction (streaming mode; earlier chunks were emitted at

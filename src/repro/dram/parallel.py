@@ -45,6 +45,7 @@ and the caller can rerun the whole drain serially.
 from __future__ import annotations
 
 import pickle
+import traceback
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 
@@ -354,6 +355,9 @@ class ParallelDrainExecutor(SupervisedPool):
                             controller, task, shm_in.buf, shm_out.buf
                         )
                     except Exception as exc:
+                        # The failed drain's frames hold views of the
+                        # blocks; clear them so the blocks can close.
+                        traceback.clear_frames(exc.__traceback__)
                         raise ParallelDrainError(
                             f"serial fallback for channel {ci} failed: {exc}"
                         ) from exc
@@ -382,13 +386,17 @@ class ParallelDrainExecutor(SupervisedPool):
             first[order] = o_first
             complete[order] = o_complete
             hit[order] = o_hit != 0
-            del i_bf, i_row, i_col, i_arr, i_wr, o_first, o_complete, o_hit
             return final_cycle
         finally:
-            try:
-                shm_in.close()
-                shm_in.unlink()
-                shm_out.close()
-                shm_out.unlink()
-            except BufferError:  # pragma: no cover - views alive on error
-                pass
+            # Release the views before closing (an exported buffer
+            # makes close() raise), and unlink both blocks on every
+            # path, even if a view still pins a mapping (it is then
+            # unmapped with that view).
+            i_bf = i_row = i_col = i_arr = i_wr = None
+            o_first = o_complete = o_hit = None
+            for shm in (shm_in, shm_out):
+                try:
+                    shm.close()
+                except BufferError:  # pragma: no cover - a view outlived the drain
+                    pass
+                shm.unlink()

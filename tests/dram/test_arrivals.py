@@ -182,6 +182,43 @@ def streak_spec(seed, waves=6, gap=30):
     return spec
 
 
+def class_switch_spec(seed, n=160, switch_every=4):
+    """Banks (0, 1) and (1, 1) stream hits to one row while banks
+    (0, 0) and (1, 0) switch rows every ``switch_every``-th request.
+    With the streaming banks open and busy, a switching bank's PRE
+    waits (tRAS, write recovery) with no ACT candidate anywhere, so
+    channel time moves the ACT floor past its estimate; the ACT that
+    follows then waits (tRP, tRRD, tFAW) while the PRE heaps are
+    empty.  Column candidates decide alone in between."""
+    rng = np.random.default_rng(seed)
+    spec = []
+    for k in range(n):
+        arrive = 2 * k + int(rng.integers(0, 3))
+        write = bool(rng.random() < 0.3)
+        if k % switch_every == switch_every - 1:
+            bg, ba, r = int(rng.integers(0, 2)), 0, int(rng.integers(0, 4))
+        else:
+            bg, ba, r = k % 2, 1, 7
+        spec.append((bg, ba, r, k % 8, arrive, write))
+    spec.sort(key=lambda e: e[4])
+    return spec
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("switch_every", [3, 6])
+@pytest.mark.parametrize("window", [4, 16, 64])
+def test_act_and_pre_heaps_drain_one_class_at_a_time(seed, switch_every, window):
+    """Only PRE candidates filed while the ACT floor moves, and only
+    ACT candidates filed while the command bus (the PRE floor) moves:
+    each class's floor, migration and winner run only while its own
+    heaps hold entries, so each must still be exact when the other
+    class sits empty."""
+    spec = class_switch_spec(seed, switch_every=switch_every)
+    assert_requests_equivalent(
+        SMALL_CONFIG, lambda: requests_at(SMALL_CONFIG, spec), dict(window=window)
+    )
+
+
 @pytest.mark.parametrize("arrive", [3, 6, 7, 9, 11, 14])
 def test_open_row_hit_admitted_to_bank_waiting_to_precharge(arrive):
     """Bank (0, 0) serves row 1, then waits (tRAS) to precharge for the

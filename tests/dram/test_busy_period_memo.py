@@ -26,7 +26,7 @@ from repro.dram.config import LPDDR5X_8533
 from repro.dram.busy_period import SegmentMemo, horizons_expired
 from repro.dram.controller import ControllerSpec, MemoryController, SchedulerPolicy
 from repro.dram.parallel import ChannelState, ParallelDrainExecutor
-from repro.dram.request import FLAG_WRITE
+from repro.dram.request import FLAG_WRITE, CommandKind
 from repro.workloads.trace_io import write_trace
 
 _SMALL = small_cosim_dram()
@@ -279,6 +279,37 @@ def test_burst_behind_a_live_tfaw_window_drains_cold():
     memo = SegmentMemo()
     _assert_same(_run(spec, *stream, memo=memo), _run(spec, *stream))
     assert (memo.misses, memo.hits) == (2, 0)
+
+
+def test_hit_fills_the_tfaw_history_for_the_next_act():
+    """``[Z, X]`` then ``[Z, X, Y]`` on one memo, under a long tFAW.
+    Z leaves one ACT in the history; the second stream's X is a hit
+    whose stored ACT tail fills that history, and Y, arriving at X's
+    stored end, needs a PRE and an ACT that must wait exactly until
+    the oldest of those ACTs leaves the tFAW window."""
+    config = CONFIGS["long-tFAW"]
+    spec = ControllerSpec(config)
+    z = _address(config, 0, 0, 9, 0)
+    burst = _spread_burst(config)
+    gap = 5000
+    prefix = _wide(spec, [[z], burst], gap)
+    memo = SegmentMemo()
+    first = _run(spec, *prefix, memo=memo)
+    assert (memo.misses, memo.stores) == (1, 1)
+    end = first[0].channels[0]._cmd_bus_next - gap
+
+    y = _address(config, 0, 0, 5, 0)
+    stream = _wide(spec, [[z], burst, [y]], gap)
+    stream[1][-1] = gap + end
+    _assert_same(_run(spec, *stream, memo=memo), _run(spec, *stream))
+    assert memo.hits == 1
+    recorded, _, _ = _run(spec, *stream, recording=True)
+    acts = [
+        c.cycle
+        for c in recorded.channels[0].commands
+        if c.kind is CommandKind.ACTIVATE
+    ]
+    assert acts[-1] == acts[-5] + config.timing.tFAW
 
 
 @pytest.mark.parametrize("config", [c for c in CONFIGS if c.startswith("long")])

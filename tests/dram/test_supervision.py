@@ -10,13 +10,16 @@ path bit for bit while recording what it did in the
 from __future__ import annotations
 
 from dataclasses import asdict
+from multiprocessing import shared_memory
 
 import pytest
 
+from repro.dram import parallel
 from repro.dram.config import DRAMConfig, DRAMOrganization, LPDDR5X_8533
 from repro.dram.controller import MemoryController
 from repro.dram.parallel import ParallelDrainError, ParallelDrainExecutor
 from repro.faults import worker_faults
+from repro.util.pool import PoolError
 from repro.workloads.traces import generate_trace_arrays
 
 QUAD_ORG = DRAMOrganization(
@@ -156,3 +159,51 @@ def test_controller_state_intact_after_recovery(columns, serial_stats):
 
 def test_parallel_drain_error_is_runtime_error():
     assert issubclass(ParallelDrainError, RuntimeError)
+
+
+@pytest.mark.parametrize("failure", ["pool", "fallback"])
+def test_failed_drain_unlinks_shared_memory(columns, serial_stats, monkeypatch, failure):
+    """A drain that fails -- the pool gives up, or a channel's in-parent
+    fallback raises -- still closes and unlinks both blocks it created;
+    the controller then reruns the drain serially."""
+    created = []
+
+    class RecordingSharedMemory(shared_memory.SharedMemory):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if kwargs.get("create"):
+                created.append(self)
+
+    monkeypatch.setattr(parallel.shared_memory, "SharedMemory", RecordingSharedMemory)
+    if failure == "pool":
+
+        def run(self, fn, tasks, resilience):
+            raise PoolError("forced pool failure")
+
+    else:
+        drain_channel = MemoryController._drain_channel
+        calls = []
+
+        def failing_drain_channel(self, *args, **kwargs):
+            calls.append(None)
+            if len(calls) == 1:
+                raise RuntimeError("forced fallback failure")
+            return drain_channel(self, *args, **kwargs)
+
+        def run(self, fn, tasks, resilience):
+            return {}, set(tasks)
+
+        monkeypatch.setattr(MemoryController, "_drain_channel", failing_drain_channel)
+    monkeypatch.setattr(ParallelDrainExecutor, "run", run)
+
+    with ParallelDrainExecutor(2) as executor:
+        stats = MemoryController(QUAD_CONFIG, executor=executor).simulate_arrays(
+            *columns
+        )
+    assert asdict(stats) == asdict(serial_stats)
+    assert stats.resilience.degraded
+    assert len(created) == 2
+    for shm in created:
+        assert shm.buf is None  # closed: no view outlived the drain
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=shm.name)
