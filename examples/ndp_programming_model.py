@@ -34,7 +34,7 @@ def main() -> None:
     layout = driver.device.layout
     bank_parities = {
         layout.mapper.decode(a).bank % 2
-        for a in layout.block_addresses(handle.w1)[:64]
+        for a in layout.block_addresses(handle.w1)[:64].tolist()
     }
     print(f"expert weight blocks bank parity: {bank_parities} (even banks)")
 
@@ -58,7 +58,7 @@ def main() -> None:
     actin = driver.offload(tokens)
     parities = {
         layout.mapper.decode(a).bank % 2
-        for a in layout.block_addresses(actin.allocation)[:16]
+        for a in layout.block_addresses(actin.allocation)[:16].tolist()
     }
     print(f"\nactivations offloaded, bank parity: {parities} (odd banks)")
 

@@ -205,16 +205,11 @@ class AddressMapper:
             column=fields["co"],
         )
 
-    def encode(
-        self,
-        channel: int,
-        rank: int,
-        bankgroup: int,
-        bank: int,
-        row: int,
-        column: int,
-    ) -> int:
-        """Inverse of :meth:`decode` (round-trips exactly)."""
+    def encode(self, channel, rank, bankgroup, bank, row, column):
+        """Inverse of :meth:`decode` (round-trips exactly).
+
+        Fields are ints (returns an int) or int64 arrays broadcasting
+        against each other (returns an int64 array of addresses)."""
         fields = {
             "ch": channel, "ra": rank, "bg": bankgroup,
             "ba": bank, "ro": row, "co": column,
@@ -228,8 +223,14 @@ class AddressMapper:
             "co": self.organization.columns_per_row,
         }
         for name, value in fields.items():
-            if not 0 <= value < limits[name]:
-                raise ValueError(f"{name}={value} out of range [0, {limits[name]})")
+            v = np.asarray(value)
+            bad = (v < 0) | (v >= limits[name])
+            if bad.any():
+                raise ValueError(
+                    f"{name}={v[bad].flat[0]} out of range [0, {limits[name]})"
+                )
+        if self.address_bits >= 63 and any(np.ndim(v) for v in fields.values()):
+            raise ValueError("array encode needs an address space that fits int64")
         block = 0
         for name in reversed(self._order_lsb_to_msb):
             block = (block << self._bits[name]) | fields[name]

@@ -50,6 +50,7 @@ from typing import Optional, Sequence
 
 from repro.dram.config import DRAMConfig, LPDDR5X_8533
 from repro.dram.controller import ControllerStats, MemoryController
+from repro.dram.parallel import ParallelDrainExecutor
 from repro.dram.reference import ReferenceMemoryController
 from repro.dram.request import requests_from_arrays
 
@@ -208,9 +209,11 @@ def _bench_entry(
         # Parallel per-channel draining: same array path, drains
         # fanned out over a worker pool.  The pool spins up inside the
         # timed region (cold number); amortized per-call cost is lower
-        # when the controller is reused.
-        controller = MemoryController(config, workers=workers, **controller_kwargs)
-        try:
+        # when the executor is reused.
+        with ParallelDrainExecutor(workers) as executor:
+            controller = MemoryController(
+                config, executor=executor, **controller_kwargs
+            )
             start = time.perf_counter()
             if trace_file is not None:
                 trace = load_trace(trace_file)
@@ -221,8 +224,6 @@ def _bench_entry(
                 mid = start
             parallel_stats = controller.simulate_arrays(a, c, f)
             end = time.perf_counter()
-        finally:
-            controller.close()
         parallel_run = _make_run(
             pattern, "parallel", n_requests, end - start, mid - start, parallel_stats
         )
@@ -501,12 +502,12 @@ def bench_parallel_section(
     parallel wall clock per trace size and worker count.
 
     Per trace size the serial array path runs once, then each worker
-    count runs the identical columns through a fresh ``workers=N``
-    controller.  Pool spin-up happens *inside* the timed region (the
-    cold number is what a one-shot CLI user pays; warm per-call cost
-    is lower when a controller or executor is reused), so the
-    recorded speedups are conservative, most visibly on the smaller
-    trace.  ``identical`` records the
+    count runs the identical columns through a fresh controller on a
+    fresh ``ParallelDrainExecutor(N)``.  Pool spin-up happens *inside*
+    the timed region (the cold number is what a one-shot CLI user
+    pays; warm per-call cost is lower when an executor is reused), so
+    the recorded speedups are conservative, most visibly on the
+    smaller trace.  ``identical`` records the
     bit-identity check against the serial stats, ``speedup`` the
     serial/parallel elapsed ratio.  ``cpu_count`` captures the machine
     the numbers were taken on -- speedup saturates at
@@ -525,13 +526,13 @@ def bench_parallel_section(
         serial_elapsed = time.perf_counter() - start
         per_workers = {}
         for w in workers_grid:
-            controller = MemoryController(config, workers=w, **controller_kwargs)
-            try:
+            with ParallelDrainExecutor(w) as executor:
+                controller = MemoryController(
+                    config, executor=executor, **controller_kwargs
+                )
                 start = time.perf_counter()
                 par_stats = controller.simulate_arrays(addrs, arrive, flags)
                 elapsed = time.perf_counter() - start
-            finally:
-                controller.close()
             per_workers[str(w)] = {
                 "elapsed_seconds": elapsed,
                 "requests_per_second": n / elapsed if elapsed > 0 else 0.0,

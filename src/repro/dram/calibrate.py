@@ -19,7 +19,7 @@ import numpy as np
 from repro.dram.address import MappingScheme
 from repro.dram.config import DRAMConfig, LPDDR5X_8533
 from repro.dram.controller import MemoryController
-from repro.dram.request import Request, RequestKind
+from repro.dram.request import FLAG_WRITE
 
 
 @dataclass(frozen=True)
@@ -54,13 +54,17 @@ class BandwidthCalibrator:
     def _controller(self) -> MemoryController:
         return MemoryController(self.config, scheme=self.scheme)
 
-    def _run(self, pattern: str, addrs: list[int], kinds: list[RequestKind]) -> CalibrationResult:
+    def _run(
+        self, pattern: str, addrs: np.ndarray, flags=None
+    ) -> CalibrationResult:
+        """Drain one pattern's ``(addrs, flags)`` columns (``flags``
+        in the ``.dramtrace`` encoding, ``None`` = all reads) on a
+        fresh controller."""
         controller = self._controller()
-        requests = [Request(addr=a, kind=k) for a, k in zip(addrs, kinds)]
-        stats = controller.simulate(requests)
+        stats = controller.simulate_arrays(addrs, flags=flags)
         return CalibrationResult(
             pattern=pattern,
-            nbytes=len(requests) * self.config.organization.access_bytes,
+            nbytes=len(addrs) * self.config.organization.access_bytes,
             sustained_bandwidth=controller.sustained_bandwidth(stats),
             peak_bandwidth=self.config.peak_bandwidth,
             row_hit_rate=stats.row_hit_rate,
@@ -71,8 +75,9 @@ class BandwidthCalibrator:
         """Stream ``nbytes`` of contiguous reads (expert-weight fetch)."""
         step = self.config.organization.access_bytes
         count = nbytes // step
-        addrs = (base + step * np.arange(count, dtype=np.int64)).tolist()
-        return self._run("sequential-read", addrs, [RequestKind.READ] * count)
+        return self._run(
+            "sequential-read", base + step * np.arange(count, dtype=np.int64)
+        )
 
     def random_read(self, nbytes: int = 1 << 20, seed: int = 7) -> CalibrationResult:
         """Uniform-random 64B reads over the full address space."""
@@ -82,8 +87,7 @@ class BandwidthCalibrator:
         count = nbytes // step
         mapper_capacity = org.n_channels * org.channel_capacity_bytes
         blocks = rng.integers(0, mapper_capacity // step, size=count, dtype=np.int64)
-        addrs = (blocks * step).tolist()
-        return self._run("random-read", addrs, [RequestKind.READ] * count)
+        return self._run("random-read", blocks * step)
 
     def interleaved_streams(
         self,
@@ -106,39 +110,26 @@ class BandwidthCalibrator:
         mapper = AddressMapper(self.config.organization, self.scheme)
         org = self.config.organization
         count = nbytes_each // org.access_bytes
-        weight_addrs: list[int] = []
-        act_addrs: list[int] = []
-        cols = org.columns_per_row
-        for i in range(count):
-            channel = i % org.n_channels
-            per_channel_i = i // org.n_channels
-            column = per_channel_i % cols
-            row = per_channel_i // cols
-            if partitioned:
-                # Weights in even banks-in-group, activations in odd.
-                weight_addrs.append(
-                    mapper.encode(channel, 0, 0, 0, row % org.n_rows, column)
-                )
-                act_addrs.append(
-                    mapper.encode(channel, 0, 0, 1, row % org.n_rows, column)
-                )
-            else:
-                # Same bank, disjoint row ranges -> conflicts on switch.
-                weight_addrs.append(
-                    mapper.encode(channel, 0, 0, 0, (2 * row) % org.n_rows, column)
-                )
-                act_addrs.append(
-                    mapper.encode(channel, 0, 0, 0, (2 * row + 1) % org.n_rows, column)
-                )
-        addrs: list[int] = []
-        kinds: list[RequestKind] = []
-        for i in range(count):
-            addrs.append(weight_addrs[i])
-            kinds.append(RequestKind.READ)
-            addrs.append(act_addrs[i])
-            kinds.append(RequestKind.READ if i % 2 == 0 else RequestKind.WRITE)
+        i = np.arange(count, dtype=np.int64)
+        channel = i % org.n_channels
+        column = (i // org.n_channels) % org.columns_per_row
+        row = i // org.n_channels // org.columns_per_row
+        if partitioned:
+            # Weights in even banks-in-group, activations in odd.
+            weight = mapper.encode(channel, 0, 0, 0, row % org.n_rows, column)
+            act = mapper.encode(channel, 0, 0, 1, row % org.n_rows, column)
+        else:
+            # Same bank, disjoint row ranges -> conflicts on switch.
+            weight = mapper.encode(channel, 0, 0, 0, (2 * row) % org.n_rows, column)
+            act = mapper.encode(channel, 0, 0, 0, (2 * row + 1) % org.n_rows, column)
+        addrs = np.empty(2 * count, dtype=np.int64)
+        addrs[0::2] = weight
+        addrs[1::2] = act
+        # Activation accesses alternate read, write.
+        flags = np.zeros(2 * count, dtype=np.uint8)
+        flags[3::4] = FLAG_WRITE
         label = "interleaved-partitioned" if partitioned else "interleaved-shared"
-        return self._run(label, addrs, kinds)
+        return self._run(label, addrs, flags)
 
     def effective_bandwidth(self, nbytes: int = 1 << 20) -> float:
         """Sustained sequential-stream bandwidth -- the constant the

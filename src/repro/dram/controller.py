@@ -52,15 +52,21 @@ schedulable once channel time reaches their arrival, idle gaps are
 skipped via a sorted-arrival cursor, and per-request queue delays are
 aggregated into :class:`ControllerStats`.
 
-The native ingestion API is :meth:`MemoryController.simulate_arrays`:
-parallel ``(addrs, arrive_cycles, flags)`` columns -- exactly what the
-``.dramtrace`` mmap format (:mod:`repro.workloads.trace_io`) and the
-array trace generators yield -- drive the indexed drain loop directly,
-no :class:`~repro.dram.request.Request` objects anywhere.
-:meth:`MemoryController.simulate` is a thin adapter that shreds a
-Request list into those columns and scatters the per-request outputs
-(decoded coordinates, first-command/completion cycles, row-hit class)
-back onto the objects.
+The entry point is :meth:`MemoryController.simulate_arrays`: parallel
+``(addrs, arrive_cycles, flags)`` columns -- exactly what the
+``.dramtrace`` mmap format (:mod:`repro.workloads.trace_io`), the array
+trace generators, the serving replay, the NDP GEMM co-simulation and
+the bandwidth calibrator yield -- drive the indexed drain loop
+directly, no :class:`~repro.dram.request.Request` objects anywhere.
+:meth:`MemoryController.simulate` is the Request-list adapter kept for
+the equivalence suites and the object-layer bench: it shreds the list
+into those columns and scatters the per-request outputs (decoded
+coordinates, first-command/completion cycles, row-hit class) back onto
+the objects.
+
+Channel drains fan out over a worker pool only when the caller passes
+one (``executor=`` a :class:`~repro.dram.parallel.ParallelDrainExecutor`,
+which the caller opens, shares and closes); a controller owns no pool.
 
 Drains may take a :class:`~repro.dram.busy_period.SegmentMemo`
 (``simulate_arrays(..., memo=...)``) that skips re-draining repeated
@@ -225,7 +231,6 @@ class MemoryController:
         policy: SchedulerPolicy = SchedulerPolicy.FR_FCFS,
         window: int = 64,
         starvation_cap: int = 512,
-        workers: Optional[int] = None,
         executor: Optional["ParallelDrainExecutor"] = None,
     ) -> None:
         if window < 1:
@@ -247,15 +252,11 @@ class MemoryController:
             Channel(i, config) for i in range(config.organization.n_channels)
         ]
         # Parallel channel draining: channels are timing-independent,
-        # so with workers >= 2 the per-channel drains fan out over a
-        # persistent process pool (see repro.dram.parallel) and stats
-        # merge deterministically -- bit-identical to the serial path.
-        workers = 0 if workers is None else int(workers)
-        if workers < 0:
-            raise ValueError("workers must be non-negative")
-        self.workers = workers
+        # so with an executor the per-channel drains fan out over its
+        # worker pool (see repro.dram.parallel) and stats merge
+        # deterministically -- bit-identical to the serial path.  The
+        # caller owns the executor and its lifetime.
         self._executor = executor
-        self._owns_executor = executor is None
 
     @property
     def spec(self) -> ControllerSpec:
@@ -264,45 +265,20 @@ class MemoryController:
             self.config, self.window, self.policy, self.starvation_cap
         )
 
-    # -- parallel-drain lifecycle ------------------------------------------
-
-    @property
-    def parallel_enabled(self) -> bool:
-        """True when per-channel drains fan out over a worker pool."""
-        return self._executor is not None or self.workers >= 2
-
-    def _ensure_executor(self):
-        if self._executor is None:
-            from repro.dram.parallel import ParallelDrainExecutor
-
-            self._executor = ParallelDrainExecutor(self.workers)
-        return self._executor
-
-    def close(self) -> None:
-        """Shut down the controller-owned worker pool (no-op when the
-        executor was injected or never created)."""
-        if self._owns_executor and self._executor is not None:
-            self._executor.close()
-            self._executor = None
-
-    def __enter__(self) -> "MemoryController":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
     # -- simulation --------------------------------------------------------
 
     def simulate(self, requests: list[Request]) -> ControllerStats:
         """Run all requests to completion; fills in per-request
         ``complete_cycle`` and returns aggregate stats.
 
-        Thin adapter over the array-native core (see
-        :meth:`simulate_arrays`): the request list is shredded into
-        ``(addrs, arrive_cycles, flags)`` columns, the columns are
-        simulated, and the per-request outputs are scattered back onto
-        the objects.  Stats are bit-identical to the array path on the
-        same columns.
+        Request-list adapter over the array-native core (see
+        :meth:`simulate_arrays`), kept for the equivalence suites, the
+        reference oracle's object API and ``repro bench``'s object-layer
+        timing; no production path calls it.  The request list is
+        shredded into ``(addrs, arrive_cycles, flags)`` columns, the
+        columns are simulated, and the per-request outputs are
+        scattered back onto the objects.  Stats are bit-identical to the
+        array path on the same columns.
         """
         stats = self._empty_stats()
         n = len(requests)
@@ -640,7 +616,7 @@ class MemoryController:
 
         nonempty = int(np.count_nonzero(counts))
         if (
-            self.parallel_enabled
+            self._executor is not None
             and nonempty >= 2
             and not any(ch.record_commands for ch in self.channels)
         ):
@@ -651,7 +627,7 @@ class MemoryController:
             # first/complete/hit slices into shared memory and hands
             # back each channel's post-drain state and stat deltas.
             try:
-                final_cycle = self._ensure_executor().drain(
+                final_cycle = self._executor.drain(
                     self, bf_sorted, row_sorted, col_sorted, wr_sorted,
                     arr_sorted, bounds, order, stats, first, complete, hit,
                 )

@@ -27,8 +27,9 @@ channel count and cores.
 
 Start methods: ``fork`` is preferred where available (cheap workers,
 no import re-execution); everything shipped to workers -- the module
--level :func:`_drain_worker`, pickled ``(config, policy, window,
-starvation_cap)`` parameters, and :class:`ChannelState` -- is
+-level :func:`_drain_worker`, the controller's pickled
+:class:`~repro.dram.controller.ControllerSpec` (workers build their
+controller with ``spec.build()``), and :class:`ChannelState` -- is
 picklable, so the same code runs under ``spawn`` (macOS/Windows or
 ``start_method="spawn"``) unchanged.
 
@@ -157,7 +158,7 @@ class ChannelState:
             bank.row_hits = hits
 
 
-#: Worker-process cache: one controller per distinct parameter blob,
+#: Worker-process cache: one controller per pickled ControllerSpec,
 #: reused across tasks so channel/mapper construction is paid once.
 _WORKER_CONTROLLERS: dict = {}
 
@@ -165,13 +166,7 @@ _WORKER_CONTROLLERS: dict = {}
 def _worker_controller(params: bytes):
     controller = _WORKER_CONTROLLERS.get(params)
     if controller is None:
-        from repro.dram.controller import MemoryController
-
-        config, policy, window, starvation_cap = pickle.loads(params)
-        controller = MemoryController(
-            config, policy=policy, window=window, starvation_cap=starvation_cap
-        )
-        _WORKER_CONTROLLERS[params] = controller
+        controller = _WORKER_CONTROLLERS[params] = pickle.loads(params).build()
     return controller
 
 
@@ -258,12 +253,13 @@ class ParallelDrainExecutor(SupervisedPool):
     """Supervised worker pool that drains independent channels in
     parallel.
 
-    Created lazily by ``MemoryController(workers=N)`` or explicitly
-    and shared across controllers (``MemoryController(...,
-    executor=ex)`` -- how a sweep amortizes one pool over every
-    controller its drains build).  The pool itself is created on
-    first use and survives across ``drain`` calls; shared-memory
-    blocks are per call.
+    The caller opens it (``with ParallelDrainExecutor(n) as ex:``) and
+    hands it to every controller that should drain in parallel
+    (``MemoryController(..., executor=ex)``) -- how a sweep amortizes
+    one pool over every controller its drains build; a controller
+    never creates or closes one.  The pool itself is created on first
+    use and survives across ``drain`` calls; shared-memory blocks are
+    per call.
     """
 
     def drain(
@@ -292,14 +288,7 @@ class ParallelDrainExecutor(SupervisedPool):
         (max last-completion over channels).
         """
         n = int(bf_sorted.shape[0])
-        params = pickle.dumps(
-            (
-                controller.config,
-                controller.policy,
-                controller.window,
-                controller.starvation_cap,
-            )
-        )
+        params = pickle.dumps(controller.spec)
         shm_in = shared_memory.SharedMemory(
             create=True, size=max(1, n * _IN_BYTES_PER_ROW)
         )

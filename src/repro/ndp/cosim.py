@@ -16,9 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.dram.config import LPDDR5X_8533, DRAMConfig
 from repro.dram.controller import MemoryController
-from repro.dram.request import Request, RequestKind
+from repro.dram.request import FLAG_WRITE
 from repro.ndp.device import DeviceMemoryLayout
 from repro.ndp.engine import NDPGemmEngine
 
@@ -53,48 +55,51 @@ class GEMMCosim:
         self.engine = engine
         self.dram_config = dram_config
 
-    def request_stream(self, m: int, n: int, k: int) -> list[Request]:
+    def request_stream(self, m: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The 64-byte request stream of the tile schedule, with
-        weights/activations placed per the Section 3.4 layout."""
+        weights/activations placed per the Section 3.4 layout, as
+        ``(addrs, flags)`` columns (int64 byte addresses, uint8
+        ``.dramtrace`` flags: output write-backs set ``FLAG_WRITE``).
+
+        Per tile the stream reads its weight blocks, then its
+        activation blocks, then writes its output blocks; each of the
+        three streams walks its allocation cyclically, picking up
+        where its previous tile left off.
+        """
         layout = DeviceMemoryLayout(self.dram_config)
         dt = self.engine.tiler.dtype_bytes
-        wgt_alloc = layout.allocate(max(1, k * n * dt), region="expert")
-        act_alloc = layout.allocate(max(1, m * k * dt), region="activation")
-        out_alloc = layout.allocate(max(1, m * n * dt), region="activation")
-        wgt_addrs = layout.block_addresses(wgt_alloc)
-        act_addrs = layout.block_addresses(act_alloc)
-        out_addrs = layout.block_addresses(out_alloc)
-
+        regions = (
+            layout.block_addresses(layout.allocate(max(1, k * n * dt), "expert")),
+            layout.block_addresses(layout.allocate(max(1, m * k * dt), "activation")),
+            layout.block_addresses(layout.allocate(max(1, m * n * dt), "activation")),
+        )
         access = self.dram_config.organization.access_bytes
-        requests: list[Request] = []
-        wgt_pos = act_pos = out_pos = 0
-        for tile in self.engine.tiler.tiles(m, n, k):
-            for nbytes, addrs, pos_name, kind in (
-                (tile.wgt_bytes, wgt_addrs, "wgt", RequestKind.READ),
-                (tile.act_bytes, act_addrs, "act", RequestKind.READ),
-                (tile.out_bytes, out_addrs, "out", RequestKind.WRITE),
-            ):
-                if nbytes == 0:
-                    continue
-                blocks = -(-nbytes // access)
-                if pos_name == "wgt":
-                    start, wgt_pos = wgt_pos, (wgt_pos + blocks) % len(addrs)
-                elif pos_name == "act":
-                    start, act_pos = act_pos, (act_pos + blocks) % len(addrs)
-                else:
-                    start, out_pos = out_pos, (out_pos + blocks) % len(addrs)
-                for i in range(blocks):
-                    addr = addrs[(start + i) % len(addrs)]
-                    requests.append(Request(addr=addr, kind=kind))
-        return requests
+        nbytes = np.array(
+            [
+                (t.wgt_bytes, t.act_bytes, t.out_bytes)
+                for t in self.engine.tiler.tiles(m, n, k)
+            ],
+            dtype=np.int64,
+        ).reshape(-1, 3)
+        blocks = -(-nbytes // access)
+        # Stream id (0 weights, 1 activations, 2 outputs) of every
+        # request, in tile order; each stream's requests, taken in
+        # order, are its allocation's blocks read cyclically.
+        stream = np.repeat(np.tile(np.arange(3), len(blocks)), blocks.reshape(-1))
+        addrs = np.empty(stream.shape[0], dtype=np.int64)
+        for sid, region in enumerate(regions):
+            mask = stream == sid
+            addrs[mask] = region[np.arange(int(blocks[:, sid].sum())) % len(region)]
+        flags = np.where(stream == 2, FLAG_WRITE, 0).astype(np.uint8)
+        return addrs, flags
 
     def run(self, m: int, n: int, k: int) -> CosimResult:
         """Compare the engine's memory-cycle estimate with a full
         cycle-level replay of the same traffic."""
         execution = self.engine.gemm_execution(m, n, k)
-        requests = self.request_stream(m, n, k)
+        addrs, flags = self.request_stream(m, n, k)
         controller = MemoryController(self.dram_config)
-        stats = controller.simulate(requests)
+        stats = controller.simulate_arrays(addrs, flags=flags)
         # Convert DRAM-controller cycles to NDP-clock cycles.
         dram_seconds = self.dram_config.timing.cycles_to_seconds(stats.total_cycles)
         dram_ndp_cycles = int(round(dram_seconds * self.engine.spec.clock_hz))
@@ -104,5 +109,5 @@ class GEMMCosim:
             k=k,
             engine_mem_cycles=execution.memory_cycles,
             dram_cycles=dram_ndp_cycles,
-            dram_bytes=len(requests) * self.dram_config.organization.access_bytes,
+            dram_bytes=len(addrs) * self.dram_config.organization.access_bytes,
         )

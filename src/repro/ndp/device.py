@@ -54,9 +54,10 @@ class DeviceMemoryLayout:
         self._next_block = {"expert": 0, "activation": 0}
         self.allocations: list[Allocation] = []
 
-    def _block_to_addr(self, block: int, parity: int) -> int:
-        """Map a dense block index to a physical address whose
-        bank-in-group LSB equals ``parity``."""
+    def _block_to_addr(self, block, parity: int):
+        """Map a dense block index (an int or an int64 array of them)
+        to a physical address whose bank-in-group LSB equals
+        ``parity``."""
         org = self.dram_config.organization
         ch = block % org.n_channels
         rest = block // org.n_channels
@@ -85,9 +86,10 @@ class DeviceMemoryLayout:
         self.allocations.append(allocation)
         return allocation
 
-    def block_addresses(self, allocation: Allocation) -> list[int]:
-        """Physical addresses of every 64-byte block of an allocation
-        (used to drive the cycle-level DRAM simulator)."""
+    def block_addresses(self, allocation: Allocation) -> np.ndarray:
+        """Physical addresses of every 64-byte block of an allocation,
+        as an int64 array (used to drive the cycle-level DRAM
+        simulator)."""
         org = self.dram_config.organization
         access = org.access_bytes
         parity = 0 if allocation.region == "expert" else 1
@@ -104,7 +106,7 @@ class DeviceMemoryLayout:
             org.n_channels * org.columns_per_row * org.n_bankgroups * half * first.row
         )
         n_blocks = -(-allocation.nbytes // access)
-        return [self._block_to_addr(start + i, parity) for i in range(n_blocks)]
+        return self._block_to_addr(start + np.arange(n_blocks, dtype=np.int64), parity)
 
 
 class MoNDEDevice:

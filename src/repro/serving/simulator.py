@@ -270,13 +270,14 @@ def dram_replay_trace_arrays(
     Returns ``(addrs, arrive_cycles, flags)`` columns (all reads, so
     ``flags`` is zero) ready for
     :meth:`repro.dram.controller.MemoryController.simulate_arrays` or
-    a ``.dramtrace`` export -- the ROADMAP's serving-to-DRAM entry
-    point, array-native so the co-simulation loop never round-trips
-    through Request objects.  With ``return_request_ids=True`` a
-    fourth ``request_ids`` column maps every DRAM request back to the
-    serving ``request_id`` whose burst emitted it (what
-    :mod:`repro.cosim` uses to attribute measured queueing delay to
-    individual serving requests).
+    a ``.dramtrace`` export -- the serving-to-DRAM entry point, for
+    tail-latency studies of queueing *inside* the memory system.  It
+    is the only form: code that needs ``Request`` objects builds them
+    with :func:`repro.dram.request.requests_from_arrays`.  With
+    ``return_request_ids=True`` a fourth ``request_ids`` column maps
+    every DRAM request back to the serving ``request_id`` whose burst
+    emitted it (what :mod:`repro.cosim` uses to attribute measured
+    queueing delay to individual serving requests).
 
     For expert-faithful replay driven by actual routing decisions, see
     :class:`repro.cosim.ExpertReplayPlanner`, which replaces this
@@ -336,30 +337,3 @@ def dram_replay_trace_arrays(
         return addrs, arrive, flags, request_ids
     return addrs, arrive, flags
 
-
-def dram_replay_trace(
-    result: ServingResult,
-    dram_config=None,
-    bytes_per_token: int = 2048,
-    max_blocks_per_request: int = 4096,
-    region_bytes: int = 1 << 22,
-    n_regions: int = 128,
-    seed: int = 0,
-):
-    """Request-object form of :func:`dram_replay_trace_arrays` (thin
-    adapter; the array form is the source of truth and both are
-    bit-identical trace-for-trace).  Feed the result to
-    :meth:`repro.dram.controller.MemoryController.simulate` for
-    tail-latency studies of queueing *inside* the memory system."""
-    from repro.dram.request import requests_from_arrays
-
-    addrs, arrive, flags = dram_replay_trace_arrays(
-        result,
-        dram_config=dram_config,
-        bytes_per_token=bytes_per_token,
-        max_blocks_per_request=max_blocks_per_request,
-        region_bytes=region_bytes,
-        n_regions=n_regions,
-        seed=seed,
-    )
-    return requests_from_arrays(addrs, arrive, flags)

@@ -2,10 +2,11 @@
 
 A :class:`RoutingTraceGenerator` produces per-layer token counts for
 encoder passes and per-step counts for auto-regressive decoding; the
-module-level ``*_memory_trace`` functions produce the corresponding
-64-byte DRAM request streams (streaming weight fetches, uniform random
-access, and skewed MoE expert fetches) consumed by the cycle-level
-memory controller and the ``benchmarks/perf`` harness.
+module-level ``*_memory_trace_arrays`` functions produce the
+corresponding 64-byte DRAM request streams (streaming weight fetches,
+uniform random access, and skewed MoE expert fetches) as address and
+write-mask columns for the cycle-level memory controller and the
+``benchmarks/perf`` harness.
 
 Routing traces model two properties measured on trained MoE models:
 
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dram.config import DRAMConfig, LPDDR5X_8533
-from repro.dram.request import Request
 from repro.moe.config import MoEModelConfig
 from repro.workloads.distributions import mixture_popularity, sample_expert_counts
 
@@ -180,7 +180,7 @@ class RoutingTraceGenerator:
 
 # -- DRAM request-stream generation ------------------------------------------
 #
-# The cycle-level memory controller consumes flat lists of 64-byte
+# The cycle-level memory controller consumes columns of 64-byte
 # requests; these generators produce the three access shapes that
 # bound its behaviour (and that ``repro bench`` times): contiguous
 # streaming (expert-weight fetch), uniform random (worst case), and
@@ -189,19 +189,12 @@ class RoutingTraceGenerator:
 # math is numpy-vectorized so trace generation never dominates a
 # million-request simulation.
 #
-# Each generator exists in two forms: an array-native ``*_arrays``
-# form returning ``(addrs, write_mask)`` columns (what
+# Each generator returns ``(addrs, write_mask)`` columns, what
 # ``MemoryController.simulate_arrays`` and the ``.dramtrace`` export
-# in :mod:`repro.workloads.trace_io` consume), and a thin
-# ``list[Request]`` wrapper kept for the object API.  The array form
-# is the source of truth; the wrapper never re-rolls the RNG, so both
-# forms of one (pattern, seed) describe the same trace.
-
-
-def _build_requests(addrs: np.ndarray, write_mask: np.ndarray) -> list[Request]:
-    from repro.dram.request import requests_from_arrays
-
-    return requests_from_arrays(addrs, flags=write_mask.astype(np.uint8))
+# in :mod:`repro.workloads.trace_io` consume;
+# :func:`generate_trace_arrays` adds arrivals and packed flags.  Code
+# that needs ``Request`` objects builds them from those columns with
+# :func:`repro.dram.request.requests_from_arrays`.
 
 
 def streaming_memory_trace_arrays(
@@ -228,19 +221,6 @@ def streaming_memory_trace_arrays(
     return blocks * step, writes
 
 
-def streaming_memory_trace(
-    n_requests: int,
-    config: DRAMConfig = LPDDR5X_8533,
-    base: int = 0,
-    write_fraction: float = 0.0,
-    seed: int = 0,
-) -> list[Request]:
-    """Contiguous 64-byte stream from ``base``, wrapping at capacity."""
-    return _build_requests(
-        *streaming_memory_trace_arrays(n_requests, config, base, write_fraction, seed)
-    )
-
-
 def random_memory_trace_arrays(
     n_requests: int,
     config: DRAMConfig = LPDDR5X_8533,
@@ -259,18 +239,6 @@ def random_memory_trace_arrays(
     )
     writes = rng.random(n_requests) < write_fraction
     return blocks * step, writes
-
-
-def random_memory_trace(
-    n_requests: int,
-    config: DRAMConfig = LPDDR5X_8533,
-    write_fraction: float = 0.25,
-    seed: int = 0,
-) -> list[Request]:
-    """Uniform-random 64-byte requests over the full address space."""
-    return _build_requests(
-        *random_memory_trace_arrays(n_requests, config, write_fraction, seed)
-    )
 
 
 def moe_expert_memory_trace_arrays(
@@ -372,45 +340,8 @@ def moe_expert_memory_trace_arrays(
     return addrs, writes[:n_requests]
 
 
-def moe_expert_memory_trace(
-    n_requests: int,
-    config: DRAMConfig = LPDDR5X_8533,
-    n_experts: int = 128,
-    expert_bytes: int = 1 << 22,
-    burst_blocks: int = 32,
-    hot_fraction: float = 0.9,
-    n_hot: int = 2,
-    tail_shape: float = 0.4,
-    write_fraction: float = 0.1,
-    seed: int = 0,
-) -> list[Request]:
-    """Skewed MoE expert-weight traffic (Request-object form of
-    :func:`moe_expert_memory_trace_arrays`)."""
-    return _build_requests(
-        *moe_expert_memory_trace_arrays(
-            n_requests,
-            config,
-            n_experts,
-            expert_bytes,
-            burst_blocks,
-            hot_fraction,
-            n_hot,
-            tail_shape,
-            write_fraction,
-            seed,
-        )
-    )
-
-
-#: Named trace generators used by ``repro bench`` / benchmarks/perf.
-MEMORY_TRACES = {
-    "streaming": streaming_memory_trace,
-    "random": random_memory_trace,
-    "moe-skewed": moe_expert_memory_trace,
-}
-
-#: Array-native forms of :data:`MEMORY_TRACES` (same keys, same
-#: seed-for-seed traces): each returns ``(addrs, write_mask)``.
+#: Named trace generators used by ``repro bench`` / benchmarks/perf;
+#: each returns ``(addrs, write_mask)``.
 MEMORY_TRACE_ARRAYS = {
     "streaming": streaming_memory_trace_arrays,
     "random": random_memory_trace_arrays,
@@ -464,8 +395,8 @@ def generate_trace_arrays(
 
 # -- arrival-process generation -----------------------------------------------
 #
-# The controller honors ``Request.arrive_cycle``, so a memory trace is
-# really (addresses, arrivals).  These generators produce sorted
+# The controller honors each request's arrive cycle, so a memory trace
+# is really (addresses, arrivals).  These generators produce sorted
 # arrival-cycle arrays for the three open-loop shapes that bound
 # queueing behaviour -- Poisson (memoryless serving traffic),
 # fixed-rate batches (lockstep inference steps), and on/off bursts
@@ -530,17 +461,6 @@ def onoff_arrival_cycles(
     active = np.floor(np.cumsum(gaps)).astype(np.int64)
     period = on_cycles + off_cycles
     return start_cycle + (active // on_cycles) * period + active % on_cycles
-
-
-def apply_arrivals(requests: list[Request], cycles: np.ndarray) -> list[Request]:
-    """Stamp an arrival-cycle array onto a request list, in place."""
-    if len(requests) != len(cycles):
-        raise ValueError(
-            f"{len(cycles)} arrival cycles for {len(requests)} requests"
-        )
-    for req, cycle in zip(requests, cycles.tolist()):
-        req.arrive_cycle = int(cycle)
-    return requests
 
 
 def _batched_process(

@@ -1,7 +1,8 @@
 """Bit-exactness of the parallel channel-drain path.
 
-``MemoryController(workers=N)`` fans the independent per-channel
-drains out over a process pool (:mod:`repro.dram.parallel`); these
+``MemoryController(executor=ParallelDrainExecutor(N))`` fans the
+independent per-channel drains out over a process pool
+(:mod:`repro.dram.parallel`); these
 tests demand that the parallel path produce *identical* aggregate
 stats and per-request timing arrays to the serial path -- across
 worker counts, scheduler policies, arrival processes, DRAM
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import os
 import signal
+from contextlib import nullcontext
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -51,7 +53,8 @@ def assert_identical(config, cols, workers, **ctrl_kwargs):
     serial_stats, serial_t = MemoryController(config, **ctrl_kwargs).simulate_arrays(
         addrs, arrive, flags, detail=True
     )
-    with MemoryController(config, workers=workers, **ctrl_kwargs) as par:
+    with ParallelDrainExecutor(workers) if workers >= 2 else nullcontext() as ex:
+        par = MemoryController(config, executor=ex, **ctrl_kwargs)
         par_stats, par_t = par.simulate_arrays(addrs, arrive, flags, detail=True)
     assert asdict(par_stats) == asdict(serial_stats)
     assert np.array_equal(par_t.first_command_cycles, serial_t.first_command_cycles)
@@ -90,7 +93,8 @@ def test_matches_reference_oracle():
     oracle = ReferenceMemoryController(QUAD_CONFIG).simulate_arrays(
         addrs, arrive, flags
     )
-    with MemoryController(QUAD_CONFIG, workers=2) as par:
+    with ParallelDrainExecutor(2) as executor:
+        par = MemoryController(QUAD_CONFIG, executor=executor)
         par_stats = par.simulate_arrays(addrs, arrive, flags)
     assert asdict(par_stats) == asdict(oracle)
 
@@ -100,7 +104,8 @@ def test_repeated_simulate_carries_channel_state():
     worker-side state round trip must keep the second run identical."""
     cols = columns(QUAD_CONFIG, n=1200)
     serial = MemoryController(QUAD_CONFIG)
-    with MemoryController(QUAD_CONFIG, workers=2) as par:
+    with ParallelDrainExecutor(2) as executor:
+        par = MemoryController(QUAD_CONFIG, executor=executor)
         for _ in range(3):
             s = serial.simulate_arrays(*cols)
             p = par.simulate_arrays(*cols)
@@ -115,8 +120,8 @@ def test_simulate_object_path_parallel():
     serial_reqs = requests_from_arrays(addrs, arrive, flags)
     par_reqs = requests_from_arrays(addrs, arrive, flags)
     s = MemoryController(QUAD_CONFIG).simulate(serial_reqs)
-    with MemoryController(QUAD_CONFIG, workers=2) as par:
-        p = par.simulate(par_reqs)
+    with ParallelDrainExecutor(2) as executor:
+        p = MemoryController(QUAD_CONFIG, executor=executor).simulate(par_reqs)
     assert asdict(p) == asdict(s)
     for a, b in zip(serial_reqs, par_reqs):
         assert a.complete_cycle == b.complete_cycle
@@ -153,7 +158,8 @@ def test_record_commands_falls_back_to_serial():
     for ch in serial.channels:
         ch.record_commands = True
     s = serial.simulate_arrays(addrs, arrive, flags)
-    with MemoryController(QUAD_CONFIG, workers=2) as par:
+    with ParallelDrainExecutor(2) as executor:
+        par = MemoryController(QUAD_CONFIG, executor=executor)
         for ch in par.channels:
             ch.record_commands = True
         p = par.simulate_arrays(addrs, arrive, flags)
@@ -177,34 +183,42 @@ def test_single_channel_trace_stays_serial():
     config = DRAMConfig(organization=org, timing=LPDDR5X_8533.timing)
     cols = columns(config, n=500)
     s = MemoryController(config).simulate_arrays(*cols)
-    with MemoryController(config, workers=2) as par:
-        p = par.simulate_arrays(*cols)
+    with ParallelDrainExecutor(2) as executor:
+        p = MemoryController(config, executor=executor).simulate_arrays(*cols)
     assert asdict(p) == asdict(s)
 
 
 def test_invalid_worker_counts_rejected():
-    with pytest.raises(ValueError):
-        MemoryController(QUAD_CONFIG, workers=-1)
     with pytest.raises(ValueError):
         ParallelDrainExecutor(1)
     with pytest.raises(ValueError):
         ParallelDrainExecutor(2, start_method="not-a-method")
 
 
-def test_workers_zero_and_one_are_serial():
+def test_workers_zero_and_one_are_serial(monkeypatch):
+    """Below two workers the bench runs no parallel drain, and a
+    controller without an executor never reaches a pool."""
+    from repro.dram.bench import bench_controller
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a serial drain reached the pool")
+
+    monkeypatch.setattr(ParallelDrainExecutor, "drain", no_pool)
     for workers in (None, 0, 1):
-        controller = MemoryController(QUAD_CONFIG, workers=workers)
-        assert not controller.parallel_enabled
-        controller.close()
+        payload = bench_controller(
+            300,
+            patterns=("random",),
+            include_reference=False,
+            config=QUAD_CONFIG,
+            workers=workers,
+        )
+        assert "parallel" not in payload["patterns"]["random"]
 
 
 def test_executor_close_is_idempotent():
     executor = ParallelDrainExecutor(2)
     executor.close()
     executor.close()  # double close must be a no-op
-    with MemoryController(QUAD_CONFIG, workers=2) as controller:
-        controller.close()
-        controller.close()
 
 
 def test_executor_reusable_after_close():

@@ -1,17 +1,15 @@
-"""`dram_replay_trace` / `dram_replay_trace_arrays` coverage:
-validation, determinism, region resume, and array/object bit-identity."""
+"""`dram_replay_trace_arrays` coverage: validation, determinism,
+region resume, and the request-id column."""
 
 import numpy as np
 import pytest
 
 from repro.core.strategies import Scheme
 from repro.dram.config import LPDDR5X_8533
-from repro.dram.request import RequestKind
 from repro.serving.simulator import (
     CostModel,
     ServingResult,
     ServingSimulator,
-    dram_replay_trace,
     dram_replay_trace_arrays,
 )
 from repro.serving.workload import Request
@@ -40,15 +38,12 @@ def test_parameter_validation():
     ):
         with pytest.raises(ValueError):
             dram_replay_trace_arrays(empty, **bad)
-        with pytest.raises(ValueError):
-            dram_replay_trace(empty, **bad)
 
 
 def test_empty_result_yields_empty_columns():
     empty = ServingResult(scheme=Scheme.MD_LB)
     addrs, arrive, flags = dram_replay_trace_arrays(empty)
     assert addrs.shape == arrive.shape == flags.shape == (0,)
-    assert dram_replay_trace(empty) == []
 
 
 def test_deterministic_under_fixed_seed(result):
@@ -75,18 +70,6 @@ def test_region_resume(result):
     assert n == 8 * 64  # 25 tokens * 256 B = 6400 B -> capped at 64 blocks
     expected = np.arange(n, dtype=np.int64) % region_blocks
     assert (blocks == expected).all()
-
-
-def test_arrays_bit_identical_to_object_form(result):
-    """The object-list form is a thin adapter over the array form:
-    same addresses, same arrivals, same kinds, in the same order."""
-    addrs, arrive, flags = dram_replay_trace_arrays(result, **REPLAY_KWARGS)
-    objects = dram_replay_trace(result, **REPLAY_KWARGS)
-    assert len(objects) == len(addrs)
-    assert [r.addr for r in objects] == addrs.tolist()
-    assert [r.arrive_cycle for r in objects] == arrive.tolist()
-    assert all(r.kind is RequestKind.READ for r in objects)
-    assert not flags.any()
 
 
 def test_request_ids_map_bursts(result):

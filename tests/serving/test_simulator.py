@@ -96,13 +96,17 @@ def test_dram_replay_trace_carries_serving_arrivals(cheap_model):
     from repro.dram.config import DRAMConfig, DRAMOrganization, LPDDR5X_8533
     from repro.dram.controller import MemoryController
     from repro.dram.reference import ReferenceMemoryController
-    from repro.serving.simulator import dram_replay_trace
+    from repro.dram.request import requests_from_arrays
+    from repro.serving.simulator import dram_replay_trace_arrays
+
+    def replay_requests(result, **kwargs):
+        return requests_from_arrays(*dram_replay_trace_arrays(result, **kwargs))
 
     sim = ServingSimulator(cheap_model, Scheme.MD_LB)
     requests = [req(i, 0.002 * (i + 1), prompt=20, decode=5) for i in range(6)]
     result = sim.run(requests)
 
-    trace = dram_replay_trace(
+    trace = replay_requests(
         result, bytes_per_token=256, max_blocks_per_request=64, seed=1
     )
     assert trace, "replay produced no DRAM requests"
@@ -119,11 +123,11 @@ def test_dram_replay_trace_carries_serving_arrivals(cheap_model):
         ),
         timing=LPDDR5X_8533.timing,
     )
-    fast_trace = dram_replay_trace(
+    fast_trace = replay_requests(
         result, dram_config=small, bytes_per_token=256,
         max_blocks_per_request=64, seed=1,
     )
-    ref_trace = dram_replay_trace(
+    ref_trace = replay_requests(
         result, dram_config=small, bytes_per_token=256,
         max_blocks_per_request=64, seed=1,
     )
@@ -135,14 +139,15 @@ def test_dram_replay_trace_carries_serving_arrivals(cheap_model):
 
 
 def test_dram_replay_trace_validation(cheap_model):
-    from repro.serving.simulator import ServingResult, dram_replay_trace
+    from repro.dram.request import requests_from_arrays
+    from repro.serving.simulator import ServingResult, dram_replay_trace_arrays
 
     empty = ServingResult(scheme=Scheme.MD_LB)
-    assert dram_replay_trace(empty) == []
+    assert requests_from_arrays(*dram_replay_trace_arrays(empty)) == []
     with pytest.raises(ValueError):
-        dram_replay_trace(empty, bytes_per_token=0)
+        dram_replay_trace_arrays(empty, bytes_per_token=0)
     with pytest.raises(ValueError):
-        dram_replay_trace(empty, region_bytes=0)
+        dram_replay_trace_arrays(empty, region_bytes=0)
 
 
 @pytest.mark.slow

@@ -3,14 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.dram.request import RequestKind
 from repro.workloads.traces import (
     ARRIVAL_PROCESSES,
-    apply_arrivals,
     batched_arrival_cycles,
     onoff_arrival_cycles,
     poisson_arrival_cycles,
-    streaming_memory_trace,
 )
 
 
@@ -50,17 +47,6 @@ def test_generator_validation():
         batched_arrival_cycles(10, batch_size=0, batch_gap_cycles=5)
     with pytest.raises(ValueError):
         onoff_arrival_cycles(10, 5.0, on_cycles=0, off_cycles=10)
-
-
-def test_apply_arrivals_stamps_requests():
-    reqs = streaming_memory_trace(16)
-    cycles = poisson_arrival_cycles(16, 8.0, seed=2)
-    out = apply_arrivals(reqs, cycles)
-    assert out is reqs
-    assert [r.arrive_cycle for r in reqs] == cycles.tolist()
-    assert all(r.kind is RequestKind.READ for r in reqs)
-    with pytest.raises(ValueError):
-        apply_arrivals(reqs, cycles[:-1])
 
 
 @pytest.mark.parametrize("name", sorted(ARRIVAL_PROCESSES))

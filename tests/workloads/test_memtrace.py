@@ -7,30 +7,30 @@ import pytest
 
 from repro.dram.config import LPDDR5X_8533
 from repro.dram.controller import MemoryController
-from repro.dram.request import RequestKind
-from repro.workloads.traces import (
-    MEMORY_TRACES,
-    moe_expert_memory_trace,
-    random_memory_trace,
-    streaming_memory_trace,
-)
+from repro.dram.request import RequestKind, requests_from_arrays
+from repro.workloads.traces import MEMORY_TRACE_ARRAYS, generate_trace_arrays
 
 ACCESS = LPDDR5X_8533.organization.access_bytes
 CAPACITY = LPDDR5X_8533.organization.total_capacity_bytes
 
 
+def requests(pattern, n_requests, **kwargs):
+    """``Request`` objects for one generated trace."""
+    return requests_from_arrays(*generate_trace_arrays(pattern, n_requests, **kwargs))
+
+
 def test_registry_names():
-    assert set(MEMORY_TRACES) == {"streaming", "random", "moe-skewed"}
+    assert set(MEMORY_TRACE_ARRAYS) == {"streaming", "random", "moe-skewed"}
 
 
 def test_streaming_is_contiguous():
-    reqs = streaming_memory_trace(100)
+    reqs = requests("streaming", 100)
     assert [r.addr for r in reqs] == [i * ACCESS for i in range(100)]
     assert all(r.kind is RequestKind.READ for r in reqs)
 
 
 def test_streaming_wraps_at_capacity():
-    reqs = streaming_memory_trace(4, base=CAPACITY - 2 * ACCESS)
+    reqs = requests("streaming", 4, base=CAPACITY - 2 * ACCESS)
     assert [r.addr for r in reqs] == [
         CAPACITY - 2 * ACCESS,
         CAPACITY - ACCESS,
@@ -40,8 +40,8 @@ def test_streaming_wraps_at_capacity():
 
 
 def test_random_is_reproducible_and_in_range():
-    a = random_memory_trace(200, seed=5)
-    b = random_memory_trace(200, seed=5)
+    a = requests("random", 200, seed=5)
+    b = requests("random", 200, seed=5)
     assert [r.addr for r in a] == [r.addr for r in b]
     assert all(0 <= r.addr < CAPACITY and r.addr % ACCESS == 0 for r in a)
     kinds = {r.kind for r in a}
@@ -50,8 +50,13 @@ def test_random_is_reproducible_and_in_range():
 
 def test_moe_trace_bursts_stay_in_expert_regions():
     n_experts, expert_bytes, burst = 8, 1 << 16, 16
-    reqs = moe_expert_memory_trace(
-        320, n_experts=n_experts, expert_bytes=expert_bytes, burst_blocks=burst, seed=2
+    reqs = requests(
+        "moe-skewed",
+        320,
+        n_experts=n_experts,
+        expert_bytes=expert_bytes,
+        burst_blocks=burst,
+        seed=2,
     )
     assert len(reqs) == 320
     expert_blocks = expert_bytes // ACCESS
@@ -64,8 +69,8 @@ def test_moe_trace_bursts_stay_in_expert_regions():
 
 
 def test_moe_trace_is_skewed():
-    reqs = moe_expert_memory_trace(
-        6400, n_experts=64, expert_bytes=1 << 16, burst_blocks=16, seed=3
+    reqs = requests(
+        "moe-skewed", 6400, n_experts=64, expert_bytes=1 << 16, burst_blocks=16, seed=3
     )
     expert_blocks = (1 << 16) // ACCESS
     experts = np.array([(r.addr // ACCESS) // expert_blocks for r in reqs])
@@ -87,23 +92,23 @@ def test_moe_trace_fits_tiny_configs():
         timing=LPDDR5X_8533.timing,
     )
     cap = tiny.organization.total_capacity_bytes
-    reqs = moe_expert_memory_trace(
-        200, config=tiny, n_experts=16, burst_blocks=32, seed=0
+    reqs = requests(
+        "moe-skewed", 200, config=tiny, n_experts=16, burst_blocks=32, seed=0
     )
     assert all(0 <= r.addr < cap for r in reqs)
     MemoryController(tiny).simulate(reqs)  # must not raise
     with pytest.raises(ValueError, match="experts cannot fit"):
-        moe_expert_memory_trace(10, config=tiny, n_experts=1 << 20)
+        requests("moe-skewed", 10, config=tiny, n_experts=1 << 20)
 
 
 def test_moe_trace_truncates_to_n_requests():
-    reqs = moe_expert_memory_trace(100, burst_blocks=32, seed=1)
+    reqs = requests("moe-skewed", 100, burst_blocks=32, seed=1)
     assert len(reqs) == 100
 
 
-@pytest.mark.parametrize("name", sorted(MEMORY_TRACES))
+@pytest.mark.parametrize("name", sorted(MEMORY_TRACE_ARRAYS))
 def test_traces_simulate_cleanly(name):
-    reqs = MEMORY_TRACES[name](400, seed=9)
+    reqs = requests(name, 400, seed=9)
     stats = MemoryController(LPDDR5X_8533).simulate(reqs)
     assert stats.requests == 400
     assert all(r.complete_cycle is not None for r in reqs)
@@ -112,6 +117,6 @@ def test_traces_simulate_cleanly(name):
 def test_streaming_hit_rate_beats_random():
     ctrl_s = MemoryController(LPDDR5X_8533)
     ctrl_r = MemoryController(LPDDR5X_8533)
-    s = ctrl_s.simulate(streaming_memory_trace(2000))
-    r = ctrl_r.simulate(random_memory_trace(2000, seed=4))
+    s = ctrl_s.simulate(requests("streaming", 2000))
+    r = ctrl_r.simulate(requests("random", 2000, seed=4))
     assert s.row_hit_rate > 0.9 > r.row_hit_rate
